@@ -1,9 +1,14 @@
 """Cryptographic substrate for attestation and secure channels.
 
 Everything is implemented from scratch on stdlib hash primitives:
-a ChaCha20 stream cipher, finite-field Diffie-Hellman (RFC 3526 group),
-HKDF-SHA256, Schnorr signatures, and an encrypt-then-MAC channel with
-the fixed-length padding that policy P0 uses for entropy control.
+the RFC 8439 ChaCha20 stream cipher (a lane-parallel kernel that
+computes many blocks per call), finite-field Diffie-Hellman (RFC 3526
+group), HKDF-SHA256, Schnorr signatures (powers of the generator through
+a fixed-base table), and an encrypt-then-MAC channel with the
+fixed-length padding that policy P0 uses for entropy control.  The fast
+paths change how values are computed, never the values: signatures,
+DH publics and channel bytes match plain ``pow`` and one-block-at-a-time
+ChaCha20 exactly.
 
 These stand in for the paper's mbedTLS + RA-TLS + EPID quote stack.
 They are *simulation grade*: correct constructions, no side-channel

@@ -1,11 +1,16 @@
 """Authenticated secure channel with P0-style traffic shaping.
 
 The channel models the RA-TLS session between the bootstrap enclave and a
-remote party: ChaCha20 encryption, HMAC-SHA256 authentication
+remote party: RFC 8439 ChaCha20 encryption, HMAC-SHA256 authentication
 (encrypt-then-MAC), strictly increasing sequence numbers (replay
 protection), and **fixed-length record padding** — the paper's covert-
 channel countermeasure: an observer of the wire sees only the number of
 equal-sized records, never the plaintext length.
+
+Each record is enciphered under its own nonce (its sequence number) from
+block counter 0.  All records of one message share a single keystream
+kernel call; :meth:`SecureChannel.open` authenticates every record, in
+order, before it deciphers any of them.
 """
 
 from __future__ import annotations
@@ -13,10 +18,10 @@ from __future__ import annotations
 import hashlib
 import hmac
 import struct
-from typing import Tuple
+from typing import List, Tuple
 
 from ..errors import ProtocolError
-from .chacha import chacha20_xor
+from .chacha import chacha20_keystream, xor_bytes
 from .hkdf import hkdf
 
 _MAC_LEN = 32
@@ -146,59 +151,85 @@ class SecureChannel:
         self._recv_seq = 0
         self.rekeys += 1
 
+    def _cipher(self, keyed: List[Tuple[bytes, int]],
+                data: bytes) -> bytes:
+        """XOR whole records ``data`` with each record's keystream;
+        ``keyed`` holds one (cipher key, sequence number) per record."""
+        size = self.record_size
+        blocks = -(-size // 64)
+        stream = chacha20_keystream(
+            [(key, self._nonce(seq), 0, blocks) for key, seq in keyed])
+        if size % 64:
+            stream = b"".join(stream[off:off + size]
+                              for off in range(0, len(stream), 64 * blocks))
+        return xor_bytes(data, stream)
+
+    @staticmethod
+    def _tag(mac_key: bytes, seq: int, ct: bytes) -> bytes:
+        return hmac.digest(mac_key, struct.pack("<Q", seq) + ct, "sha256")
+
     def seal(self, plaintext: bytes) -> bytes:
         """Encrypt ``plaintext`` into one or more fixed-size records."""
         self._check_usable()
-        records = []
-        chunks = [plaintext[i:i + self.record_size - _LEN_HDR]
-                  for i in range(0, len(plaintext),
-                                 self.record_size - _LEN_HDR)] or [b""]
+        size = self.record_size
+        payload = size - _LEN_HDR
+        chunks = [plaintext[i:i + payload]
+                  for i in range(0, len(plaintext), payload)] or [b""]
+        bodies, keyed, macs = [], [], []
         for chunk in chunks:
             self._maybe_ratchet_send()
             body = struct.pack("<I", len(chunk)) + chunk
-            body += b"\x00" * (self.record_size - len(body))
-            seq = self._send_seq
+            bodies.append(body + b"\x00" * (size - len(body)))
+            keyed.append((self._send_key, self._send_seq))
+            macs.append(self._send_mac)
             self._send_seq += 1
-            ct = chacha20_xor(self._send_key, self._nonce(seq), body)
-            tag = hmac.new(self._send_mac, struct.pack("<Q", seq) + ct,
-                           hashlib.sha256).digest()
-            records.append(ct + tag)
+        cts = self._cipher(keyed, b"".join(bodies))
+        records = []
+        for i, ((_, seq), mac_key) in enumerate(zip(keyed, macs)):
+            ct = cts[i * size:(i + 1) * size]
+            records += [ct, self._tag(mac_key, seq, ct)]
         return b"".join(records)
 
     def open(self, wire: bytes) -> bytes:
         """Decrypt and authenticate records produced by the peer.
 
-        Any failure — an empty or truncated stream, a bad MAC, a bad
-        length field — marks the endpoint :attr:`desynced`: the local
-        receive counter may no longer mirror the peer's send counter,
-        and continuing would either reject every honest record or,
-        worse, accept a replay window.  A desynced channel refuses all
-        further use; the session must be re-established.
+        Every record's MAC is checked, in order, before any record is
+        deciphered; then every length field is checked.  Any failure —
+        an empty or truncated stream, a bad MAC, a bad length field —
+        returns no plaintext and marks the endpoint :attr:`desynced`:
+        the local receive counter may no longer mirror the peer's send
+        counter, and continuing would either reject every honest record
+        or, worse, accept a replay window.  A desynced channel refuses
+        all further use; the session must be re-established.
         """
         self._check_usable()
-        record_len = self.record_size + _MAC_LEN
+        size = self.record_size
+        record_len = size + _MAC_LEN
         if not wire:
             self._desync("empty wire: truncated record stream")
         if len(wire) % record_len:
             self._desync("truncated record stream")
-        out = bytearray()
+        cts, keyed = [], []
         for off in range(0, len(wire), record_len):
             self._maybe_ratchet_recv()
-            ct = wire[off:off + self.record_size]
-            tag = wire[off + self.record_size:off + record_len]
+            ct = wire[off:off + size]
             seq = self._recv_seq
-            expected = hmac.new(self._recv_mac,
-                                struct.pack("<Q", seq) + ct,
-                                hashlib.sha256).digest()
-            if not hmac.compare_digest(expected, tag):
+            if not hmac.compare_digest(
+                    self._tag(self._recv_mac, seq, ct),
+                    wire[off + size:off + record_len]):
                 self._desync(f"record {seq}: bad MAC")
             self._recv_seq += 1
-            body = chacha20_xor(self._recv_key, self._nonce(seq), ct)
-            (length,) = struct.unpack_from("<I", body)
-            if length > self.record_size - _LEN_HDR:
+            cts.append(ct)
+            keyed.append((self._recv_key, seq))
+        bodies = self._cipher(keyed, b"".join(cts))
+        out = []
+        for i, (_, seq) in enumerate(keyed):
+            (length,) = struct.unpack_from("<I", bodies, i * size)
+            if length > size - _LEN_HDR:
                 self._desync(f"record {seq}: bad length")
-            out += body[_LEN_HDR:_LEN_HDR + length]
-        return bytes(out)
+            start = i * size + _LEN_HDR
+            out.append(bodies[start:start + length])
+        return b"".join(out)
 
     def wire_length(self, plaintext_len: int) -> int:
         """Bytes on the wire for a message — depends only on record count."""

@@ -2,12 +2,17 @@
 
 Used for the key agreement of §III-A: data owner and code provider each
 run a DH exchange with the bootstrap enclave after verifying its quote.
+
+Every power of the generator (DH and Schnorr key generation, signing,
+the ``g^s`` term of verification) goes through :data:`G_POW`, a
+fixed-base table; the results equal builtin ``pow`` exactly.
 """
 
 from __future__ import annotations
 
 import hashlib
 import secrets
+from typing import List, Optional
 
 MODP_2048_P = int(
     "FFFFFFFFFFFFFFFFC90FDAA22168C234C4C6628B80DC1CD129024E08"
@@ -26,6 +31,70 @@ MODP_2048_G = 2
 MODP_2048_Q = (MODP_2048_P - 1) // 2
 
 
+class FixedBase:
+    """``base ** e % modulus`` for a fixed ``base`` (BGMW/Yao).
+
+    The table holds ``base ** (2 ** (window * i))`` for every
+    ``window``-bit digit position of a ``bits``-wide exponent, built on
+    first use.  An exponent is split into digits; the table entries of
+    equal digits are multiplied into one bucket per digit value, and
+    the buckets are combined as ``prod(bucket[d] ** d)`` with two
+    running products.  That costs about ``bits / window + 2 **
+    (window + 1)`` modular multiplications and no squarings, where
+    ``pow`` needs ``bits`` squarings.  An exponent wider than the table
+    (or negative) falls back to ``pow``.
+    """
+
+    def __init__(self, base: int, modulus: int, bits: int, window: int):
+        self.base = base
+        self.modulus = modulus
+        self.bits = bits
+        self.window = window
+        self._table: Optional[List[int]] = None
+
+    def _build(self) -> List[int]:
+        table = []
+        value = self.base % self.modulus
+        step = 1 << self.window
+        for _ in range(-(-self.bits // self.window)):
+            table.append(value)
+            value = pow(value, step, self.modulus)
+        self._table = table
+        return table
+
+    def pow(self, exponent: int) -> int:
+        if exponent < 0 or exponent.bit_length() > self.bits:
+            return pow(self.base, exponent, self.modulus)
+        table = self._table or self._build()
+        modulus = self.modulus
+        window = self.window
+        mask = (1 << window) - 1
+        buckets: List[Optional[int]] = [None] * (mask + 1)
+        for entry in table:
+            if not exponent:
+                break
+            digit = exponent & mask
+            if digit:
+                held = buckets[digit]
+                buckets[digit] = entry if held is None \
+                    else held * entry % modulus
+            exponent >>= window
+        # run = prod(bucket[d'] for d' >= d); acc = prod over d of run
+        # = prod(bucket[d] ** d).
+        acc = run = None
+        for digit in range(mask, 0, -1):
+            held = buckets[digit]
+            if held is not None:
+                run = held if run is None else run * held % modulus
+            if run is not None:
+                acc = run if acc is None else acc * run % modulus
+        return 1 % modulus if acc is None else acc
+
+
+#: Window 6 over the full 2048-bit width: 342 entries (~100 KB).
+G_POW = FixedBase(MODP_2048_G, MODP_2048_P, MODP_2048_P.bit_length(), 6)
+
+
 class DHKeyPair:
     """Ephemeral DH key pair with a deterministic-from-seed option.
 
@@ -40,7 +109,7 @@ class DHKeyPair:
             exponent = int.from_bytes(
                 hashlib.sha512(b"dh-exponent" + seed).digest(), "big")
         self._x = exponent % MODP_2048_Q or 2
-        self.public = pow(MODP_2048_G, self._x, MODP_2048_P)
+        self.public = G_POW.pow(self._x)
 
     def shared_secret(self, peer_public: int) -> bytes:
         """Return the hashed shared secret with ``peer_public``.

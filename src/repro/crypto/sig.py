@@ -12,9 +12,11 @@ import hashlib
 import hmac
 import secrets
 
-from .dh import MODP_2048_G as G, MODP_2048_P as P, MODP_2048_Q as Q
+from .dh import G_POW, FixedBase, MODP_2048_P as P, MODP_2048_Q as Q
 
 _Q_BYTES = (Q.bit_length() + 7) // 8
+#: Width of the challenge ``e`` and so of the ``y^e`` exponent.
+_E_BITS = 512
 
 
 def _hash_to_int(*parts: bytes) -> int:
@@ -31,6 +33,9 @@ class VerifyingKey:
         if not 1 < y < P - 1:
             raise ValueError("bad public key")
         self.y = y
+        #: Fixed-base table for the ``y^e`` term (window 5, ~30 KB),
+        #: built by the first :meth:`verify`.
+        self._y_pow = FixedBase(y, P, _E_BITS, 5)
 
     def to_bytes(self) -> bytes:
         return self.y.to_bytes(256, "big")
@@ -48,7 +53,7 @@ class VerifyingKey:
         if not (0 <= s < Q):
             return False
         # r' = g^s * y^e ; valid iff H(r' || m) == e
-        r = (pow(G, s, P) * pow(self.y, e % Q, P)) % P
+        r = (G_POW.pow(s) * self._y_pow.pow(e % Q)) % P
         expected = _hash_to_int(r.to_bytes(256, "big"), message)
         return hmac.compare_digest(
             expected.to_bytes(64, "big"), signature[:64])
@@ -67,7 +72,7 @@ class SigningKey:
             x = int.from_bytes(
                 hashlib.sha512(b"schnorr-key" + seed).digest(), "big")
         self._x = x % Q or 2
-        self.verifying_key = VerifyingKey(pow(G, self._x, P))
+        self.verifying_key = VerifyingKey(G_POW.pow(self._x))
 
     def derive_secret(self, label: bytes) -> bytes:
         """Derive a 32-byte secret bound to this private key.
@@ -84,7 +89,7 @@ class SigningKey:
         k = int.from_bytes(
             hmac.new(key_bytes, b"nonce" + message,
                      hashlib.sha512).digest(), "big") % Q or 2
-        r = pow(G, k, P)
+        r = G_POW.pow(k)
         e = _hash_to_int(r.to_bytes(256, "big"), message)
         s = (k - self._x * e) % Q
         return e.to_bytes(64, "big") + s.to_bytes(_Q_BYTES, "big")

@@ -192,28 +192,6 @@ def topology_stages(name: str) -> List[PipelineStage]:
 TOPOLOGIES = ("filter-score-agg", "stream-map4")
 
 
-#: Compiled-blob cache: stage sources are tiny but recompiling one per
-#: chunk per trial would dominate every campaign; the enclave still
-#: re-measures every delivery (and the provision cache still decides
-#: independently whether to re-verify).
-_BLOB_CACHE: Dict[Tuple[str, str], bytes] = {}
-
-
-class _CachedProvider(CodeProvider):
-    """``CodeProvider`` whose compile step is memoized per (source,
-    policy set).  Delivery semantics are unchanged — the measurement
-    re-check still runs on every (re-)delivery."""
-
-    def build(self) -> bytes:
-        key = (self.source, self.policies.describe())
-        blob = _BLOB_CACHE.get(key)
-        if blob is None:
-            blob = super().build()
-            _BLOB_CACHE[key] = blob
-        self.binary_hash = hashlib.sha256(blob).digest()
-        return blob
-
-
 class _StageRuntime:
     """One stage's live enclave + two-party workflow on one platform."""
 
@@ -247,7 +225,7 @@ class _StageRuntime:
         else:
             self.hop_plan = None
         self.host = host
-        self.provider = _CachedProvider(
+        self.provider = CodeProvider(
             stage.source, policies, name=f"provider-{stage.name}")
         self.owner = DataOwner(
             data=b"", name=f"owner-{stage.name}",
@@ -877,8 +855,7 @@ def serial_oracle(stages: List[PipelineStage], data: bytes, *,
         boot = BootstrapEnclave(policies=policies, p0=p0,
                                 aex_threshold=aex_threshold,
                                 provision_cache=cache)
-        provider = _CachedProvider(stage.source, policies)
-        boot.receive_binary(provider.build())
+        boot.receive_binary(CodeProvider(stage.source, policies).build())
         boots.append(boot)
     pieces = [data] if chunk_size is None else \
         [data[i:i + chunk_size]

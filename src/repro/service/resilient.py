@@ -27,7 +27,8 @@ from typing import Callable, Dict, List, Optional, Tuple
 from ..errors import (
     AttestationError, AttestationOutage, DeadlineExceeded, EnclaveError,
     PolicyViolation, ProtocolError, ProvenanceError, ReproError,
-    RetryBudgetExceeded, RollbackError, VerificationError,
+    RetryBudgetExceeded, RollbackError, SessionPreempted,
+    VerificationError,
 )
 
 #: Error classes a resilient session retries after re-establishing the
@@ -231,6 +232,10 @@ class ResilientSession:
                 self.ensure_connected()
                 self.stats.attempts += 1
                 return op()
+            except SessionPreempted:
+                # A scheduling outcome, not a failure: the scheduler
+                # counts preemptions.
+                raise
             except ReproError as exc:
                 verdict = classify_error(exc)
                 self.stats.note(exc, verdict)
@@ -358,6 +363,10 @@ class TwoPartyWorkflow:
                         outcome = self.host.ecall_run(**run_kwargs)
                 else:
                     outcome = self.host.ecall_run(**run_kwargs)
+            except SessionPreempted:
+                # A scheduling outcome, not a failure: the scheduler
+                # counts preemptions.
+                raise
             except ReproError as exc:
                 verdict = classify_error(exc)
                 self.run_stats.note(exc, verdict)

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from ..compiler.frontend import CodeGenerator
 from ..core.bootstrap import RunOutcome
@@ -34,11 +34,22 @@ class CodeProvider:
     entry: str = "main"
     _channel: Optional[SecureChannel] = field(default=None, repr=False)
     binary_hash: bytes = b""
+    #: ``((source, policy set, entry), blob)`` of the last build.
+    _built: Optional[Tuple[tuple, bytes]] = field(default=None, repr=False)
 
     def build(self) -> bytes:
-        """Compile + instrument; returns the serialized object."""
-        generator = CodeGenerator(self.policies)
-        blob = generator.compile(self.source, entry=self.entry).serialize()
+        """Compile + instrument; returns the serialized object.
+
+        The blob is memoized per (source, policy set, entry), so
+        approving, delivering and re-delivering one program compiles it
+        once.  Nothing on the enclave side is skipped: every delivery is
+        still re-measured and re-checked there."""
+        key = (self.source, self.policies.describe(), self.entry)
+        if self._built is None or self._built[0] != key:
+            generator = CodeGenerator(self.policies)
+            self._built = (key, generator.compile(
+                self.source, entry=self.entry).serialize())
+        blob = self._built[1]
         self.binary_hash = hashlib.sha256(blob).digest()
         return blob
 

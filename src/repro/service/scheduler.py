@@ -112,7 +112,7 @@ class SessionJob:
             raise ValueError(
                 "quantum_steps requires checkpoint_every: preemption "
                 "without a checkpoint chain would lose the work")
-        self._provider_blob: Optional[bytes] = None
+        self._provider: Optional[CodeProvider] = None
 
     @property
     def terminal(self) -> bool:
@@ -128,15 +128,17 @@ class SessionJob:
 
     def parties(self, policies: PolicySet) -> Tuple[CodeProvider,
                                                     DataOwner]:
-        """Fresh party objects for one dispatch (sessions are
-        per-dispatch; approval is by measurement, computed once)."""
-        provider = CodeProvider(self.source, policies,
-                                name=f"provider:{self.tenant}")
-        if self._provider_blob is None:
-            self._provider_blob = provider.build()
+        """Party objects for one dispatch.  Sessions are per-dispatch
+        and the owner is fresh each time; the provider is kept, so its
+        memoized build compiles the job's program once however often
+        the job is dispatched (approval is by measurement)."""
+        provider = self._provider
+        if provider is None or provider.policies != policies:
+            provider = self._provider = CodeProvider(
+                self.source, policies, name=f"provider:{self.tenant}")
         owner = DataOwner(data=self.data, name=f"owner:{self.tenant}")
         owner.approved_hashes.append(
-            hashlib.sha256(self._provider_blob).digest())
+            hashlib.sha256(provider.build()).digest())
         return provider, owner
 
 

@@ -163,7 +163,16 @@ def test_mid_run_kill_fails_over_to_new_einit_with_identical_output():
     assert job.stats.rollbacks_rejected == 0
 
 
-def test_preemption_parks_and_resumes_without_migration():
+def test_preemption_parks_and_resumes_without_migration(monkeypatch):
+    from repro.compiler.frontend import CodeGenerator
+    compiles = []
+    original = CodeGenerator.compile
+
+    def counting(self, *args, **kwargs):
+        compiles.append(1)
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(CodeGenerator, "compile", counting)
     fleet = build_fleet(1)
     sched = FleetScheduler(fleet)
     job = sched.submit(_long("sliced", quantum=4000))
@@ -174,6 +183,15 @@ def test_preemption_parks_and_resumes_without_migration():
     # Same EINIT throughout: preemption alone is not a migration.
     assert set(job.einits) == {"drone-0#e0"}
     assert not job.migrated
+    # Preemption is a scheduling outcome, counted by the scheduler; the
+    # preempted-then-resumed session never failed.
+    assert job.stats.resumes >= 1
+    assert job.stats.fatal_errors == 0
+    assert job.stats.fatal_kinds == {}
+    assert sched.tenant_stats()["t0"].fatal_errors == 0
+    # The job's program compiles once however often it is dispatched.
+    assert job.dispatches >= 3
+    assert len(compiles) == 1
 
 
 def test_parked_chain_owner_resumes_before_higher_priority_work():
