@@ -33,6 +33,7 @@ from ..errors import EnclaveTeardown, ReproError, RollbackError
 from ..policy.policies import PolicySet
 from ..vm.interrupts import AexSchedule
 from ..workloads import get_workload
+from . import store
 from .harness import compile_workload
 
 #: Registry parameters small enough for an interactive full sweep.
@@ -97,16 +98,6 @@ class OverheadPoint:
     overhead_pct: float
     identical: bool
 
-    def to_dict(self) -> dict:
-        return {
-            "checkpoint_every": self.checkpoint_every,
-            "wall_s": round(self.wall_s, 6),
-            "checkpoints": self.checkpoints,
-            "chain_bytes": self.chain_bytes,
-            "overhead_pct": round(self.overhead_pct, 2),
-            "identical": self.identical,
-        }
-
 
 @dataclass
 class ResumePoint:
@@ -117,15 +108,6 @@ class ResumePoint:
     chain_len: int
     identical: bool
     rollback_rejected: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "interrupt_step": self.interrupt_step,
-            "resumed_at_step": self.resumed_at_step,
-            "chain_len": self.chain_len,
-            "identical": self.identical,
-            "rollback_rejected": self.rollback_rejected,
-        }
 
 
 @dataclass
@@ -144,23 +126,33 @@ class CheckpointCell:
 
     @property
     def ok(self) -> bool:
-        return (self.status == "ok"
-                and all(p.identical for p in self.overhead)
-                and all(r.identical and r.rollback_rejected
-                        for r in self.resumes))
+        return self.status == "ok"
 
-    def to_dict(self) -> dict:
-        return {
-            "workload": self.workload,
-            "param": self.param,
-            "setting": self.setting,
+    def cell(self) -> dict:
+        """This workload as a results-store cell.  Resume identity,
+        rollback rejection, step counts and sealed-chain sizes are
+        deterministic; the plain wall time and the per-interval
+        overhead are wall clock."""
+        metrics = {
             "steps": self.steps,
+            "resume_identical": bool(self.resumes) and all(
+                r.identical for r in self.resumes),
+            "rollbacks_rejected": bool(self.resumes) and all(
+                r.rollback_rejected for r in self.resumes),
+            "resume_points": len(self.resumes),
             "plain_wall_s": round(self.plain_wall_s, 6),
-            "overhead": [p.to_dict() for p in self.overhead],
-            "resumes": [r.to_dict() for r in self.resumes],
-            "status": self.status,
-            "detail": self.detail,
         }
+        wall = ["plain_wall_s"]
+        for point in self.overhead:
+            every = point.checkpoint_every
+            metrics[f"chain_bytes@{every}"] = point.chain_bytes
+            metrics[f"checkpoints@{every}"] = point.checkpoints
+            metrics[f"overhead_pct@{every}"] = round(point.overhead_pct,
+                                                     2)
+            wall.append(f"overhead_pct@{every}")
+        return store.cell("checkpoint", self.workload, self.setting,
+                          self.param, metrics, wall=wall,
+                          status=self.status, detail=self.detail)
 
 
 def _teardown_at(boot: BootstrapEnclave, at_step: int):
@@ -282,6 +274,15 @@ def measure_cell(name: str, setting: str, cache: ProvisionCache,
     except ReproError as exc:
         cell.status = "error"
         cell.detail = f"{type(exc).__name__}: {exc}"
+    if cell.status == "ok" and not (
+            cell.resumes
+            and all(r.identical and r.rollback_rejected
+                    for r in cell.resumes)
+            and all(p.identical for p in cell.overhead)):
+        cell.status = "divergent"
+        cell.detail = ("a checkpointed or resumed run diverged from "
+                       "the plain run, or a rollback replay was "
+                       "accepted")
     return cell
 
 
@@ -337,13 +338,13 @@ class CheckpointMatrix:
 
     def to_json(self) -> dict:
         return {
-            "schema": "deflection-checkpoint-bench/1",
+            "schema": store.DOC_SCHEMA,
+            "kind": "checkpoint",
             "seed": self.seed,
             "setting": self.cells[0].setting if self.cells else "",
             "checkpoint_settings": [
                 p.checkpoint_every
                 for p in (self.cells[0].overhead if self.cells else [])],
-            "cells": [c.to_dict() for c in self.cells],
             "totals": {
                 "workloads": len(self.cells),
                 "resume_points": sum(len(c.resumes)
@@ -356,4 +357,5 @@ class CheckpointMatrix:
                     for k, v in self.mean_overhead_pct().items()},
                 "total_wall_s": round(self.total_wall_s, 3),
             },
+            "cells": [c.cell() for c in self.cells],
         }

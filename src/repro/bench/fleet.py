@@ -15,17 +15,13 @@ always exercises at least one checkpoint migration, and the bench
 verifies the migrated session's output byte-for-byte against the
 analytic expectation.
 
-Two metric families, split exactly as the results store expects:
-
-* **deterministic** (zero noise band): session counts, shed counts,
-  supervision-tick latency percentiles, migration/zero-lost booleans,
-  scheduler counters — all pure functions of the seed;
-* **wall clock** (advisory band): total wall time, seconds per
-  completed session, and wall-scaled latency percentiles.
-
-``sessions_per_sec`` is reported in the document for humans but the
-*stored* throughput metric is its reciprocal ``sec_per_session`` —
-every numeric store metric is lower-is-better by contract.
+The document carries one store cell for the campaign plus one per
+tenant.  Session counts, shed counts, supervision-tick latency
+percentiles, migration/zero-lost booleans and scheduler counters are
+deterministic (pure functions of the seed); total wall time, seconds
+per completed session and the wall-scaled latency percentiles are
+tagged ``wall``.  Every stored numeric metric is lower-is-better; the
+human summary also reports ``sessions_per_sec``.
 """
 
 from __future__ import annotations
@@ -40,9 +36,7 @@ from ..service.faults import (
 )
 from ..service.fleet import build_fleet
 from ..service.scheduler import FleetScheduler, SessionJob
-
-#: Bench document schema tag.
-SCHEMA = "deflection-fleet/1"
+from . import store
 
 
 def _arrival_ticks(rng: random.Random, sessions: int,
@@ -140,8 +134,38 @@ def run_fleet_bench(seed: int = 2021, *,
         status = "lost-sessions"
     elif not migrated_jobs:
         status = "no-migration"
+    sec_per_session = wall_s / completed if completed else 0.0
+    latency_s = {"p50": latency["p50"] * tick_s,
+                 "p99": latency["p99"] * tick_s}
+    cells = [store.cell(
+        "fleet", "campaign", f"d{drones}", sessions, {
+            "zero_lost": not lost,
+            "migrated": counters["migrations"] > 0,
+            "completed": completed,
+            "shed": counters["shed"],
+            "dispatches": counters["dispatches"],
+            "preemptions": counters["preemptions"],
+            "replacements": counters["replacements"],
+            "rollbacks_rejected": report["stats"]["rollbacks_rejected"],
+            "ticks": ticks,
+            "p50_ticks": latency["p50"],
+            "p99_ticks": latency["p99"],
+            "wall_s": wall_s,
+            "sec_per_session": sec_per_session,
+            "p50_s": latency_s["p50"],
+            "p99_s": latency_s["p99"],
+        }, wall=("wall_s", "sec_per_session", "p50_s", "p99_s"),
+        status=status, detail=";".join(corrupt + lost))]
+    for tenant, tstats in sorted(report["tenants"].items()):
+        cells.append(store.cell(
+            "fleet", "tenant", tenant, sessions,
+            {name: tstats[name]
+             for name in ("attempts", "retries", "fatal_errors",
+                          "resumes", "rollbacks_rejected")},
+            status=status))
     return {
-        "schema": SCHEMA,
+        "schema": store.DOC_SCHEMA,
+        "kind": "fleet",
         "seed": seed,
         "status": status,
         "drones": drones,
@@ -155,16 +179,16 @@ def run_fleet_bench(seed: int = 2021, *,
         "zero_lost": not lost,
         "shed": report["shed"],
         "latency_ticks": latency,
-        "latency_s": {"p50": latency["p50"] * tick_s,
-                      "p99": latency["p99"] * tick_s},
+        "latency_s": latency_s,
         "wall_s": wall_s,
         "sessions_per_sec": completed / wall_s if wall_s else 0.0,
-        "sec_per_session": wall_s / completed if completed else 0.0,
+        "sec_per_session": sec_per_session,
         "migration_check": migration_check,
         "migrated_jobs": migrated_jobs,
         "tenants_stats": report["tenants"],
         "stats": report["stats"],
         "drones_detail": report["drones"],
+        "cells": cells,
     }
 
 

@@ -3,29 +3,29 @@
 Given the ordered record stream from
 :class:`~repro.bench.store.ResultsStore`, the gate compares each
 cell's **latest** observation against its **rolling baseline** — the
-median of the last ``window`` accepted (status ``ok``) runs of the
+median of the last :data:`WINDOW` accepted (status ``ok``) runs of the
 same key — and classifies every metric:
 
 ``improved``
-    below the baseline by more than the noise band (all store metrics
-    are lower-is-better; booleans are good-is-true);
+    better than the baseline by more than the noise band;
 ``flat``
     within the band;
 ``regressed``
-    above the baseline by more than the band;
+    worse than the baseline by more than the band;
 ``new``
     no accepted history for this key/metric — nothing to compare, the
     observation simply seeds the baseline for the next run.
 
-Noise bands are per metric *class*, not per cell: deterministic
-metrics (cycle accounts, step counts, AEX counts, byte sizes,
-booleans) carry a **zero band** — the simulation is deterministic, so
-any drift is a real behavioural change and gates hard — while
-wall-clock metrics carry a configurable percentage band and are
-**advisory** by default (classified and reported, but only failing
-the gate under ``gate_wall=True``): CI runners are too noisy for
-wall-clock to block merges, yet the trajectory still gets recorded
-and rendered.
+"Better" reads the record's own tags: numeric metrics named in
+``higher`` improve upward, every other numeric metric improves
+downward, and booleans are good-is-true.  The noise band reads the
+``wall`` tag: deterministic metrics (cycle accounts, step counts,
+counters, byte sizes, booleans) carry a **zero band** — the simulation
+is deterministic, so any drift is a real behavioural change and gates
+hard — while wall-clock metrics carry a :data:`WALL_BAND_PCT` band and
+are **advisory** (classified and reported, never blocking): CI runners
+are too noisy for wall-clock to block merges, yet the trajectory still
+gets recorded and rendered.
 
 A latest observation whose status is not ``ok`` is itself a gate
 failure (metric ``status``), regardless of history: the store must
@@ -40,34 +40,15 @@ from typing import Dict, List, Optional, Sequence
 from .store import CellKey, Record
 from .tables import format_table
 
-#: Default rolling-baseline window (accepted runs per cell).
-DEFAULT_WINDOW = 5
+#: Rolling-baseline window (accepted runs per cell).
+WINDOW = 5
 
-#: Default wall-clock noise band, percent.
-DEFAULT_WALL_BAND = 25.0
-
-#: Wall-clock metric names (exact), plus the ``@``-suffixed families
-#: checked by :func:`is_wall_metric`.  Everything else in the store is
-#: deterministic and gates with a zero band.
-_WALL_METRICS = {"wall_s", "plain_wall_s", "legacy_cold_ms",
-                 "new_cold_ms", "warm_ms", "sec_per_session",
-                 "p50_s", "p99_s", "records_per_s", "chunk_p99_s"}
-_WALL_PREFIXES = ("overhead_pct@",)
-
-#: The store's numeric contract is lower-is-better, and every producer
-#: so far honoured it by storing reciprocals (``sec_per_session``).
-#: The pipeline bench stores throughput directly, so the gate inverts
-#: the comparison sense for exactly these metrics: *dropping* below
-#: the baseline band is the regression.
-_HIGHER_IS_BETTER = {"records_per_s"}
-
-
-def is_wall_metric(name: str) -> bool:
-    return name in _WALL_METRICS or name.startswith(_WALL_PREFIXES)
+#: Wall-clock noise band, percent.
+WALL_BAND_PCT = 25.0
 
 
 def rolling_baseline(values: Sequence[float],
-                     window: int = DEFAULT_WINDOW) -> float:
+                     window: int = WINDOW) -> float:
     """Median of the last ``window`` values (history order)."""
     tail = sorted(values[-window:])
     n = len(tail)
@@ -88,7 +69,7 @@ class Delta:
     delta_pct: Optional[float] = None
     classification: str = "flat"   # improved | flat | regressed | new
     #: True when a ``regressed`` classification fails the gate
-    #: (deterministic metrics, or wall metrics under ``gate_wall``).
+    #: (every metric except the advisory wall-clock ones).
     gating: bool = True
     detail: str = ""
 
@@ -102,9 +83,6 @@ class GateReport:
     """Every delta of a gate evaluation plus the verdict."""
 
     deltas: List[Delta] = field(default_factory=list)
-    window: int = DEFAULT_WINDOW
-    wall_band_pct: float = DEFAULT_WALL_BAND
-    gate_wall: bool = False
 
     @property
     def regressions(self) -> List[Delta]:
@@ -157,8 +135,8 @@ class GateReport:
                     for d in shown]
             lines.append(format_table(
                 f"bench gate (baseline = median of last "
-                f"{self.window} accepted runs, wall band "
-                f"±{self.wall_band_pct:g}%)",
+                f"{WINDOW} accepted runs, wall band "
+                f"±{WALL_BAND_PCT:g}%)",
                 ["cell", "metric", "baseline", "current", "delta",
                  "class"], rows))
         counts = self.counts()
@@ -170,62 +148,52 @@ class GateReport:
         return "\n".join(lines)
 
 
-def classify(metric: str, current, baseline,
-             wall_band_pct: float = DEFAULT_WALL_BAND) -> Delta:
+def classify(metric: str, current, baseline, *, wall: bool = False,
+             higher: bool = False) -> Delta:
     """Classify one metric value against its baseline.
 
-    Numeric store metrics are lower-is-better (except the explicit
-    :data:`_HIGHER_IS_BETTER` set, where the sense inverts but the
-    reported ``delta_pct`` stays the raw signed change); booleans are
+    ``wall`` and ``higher`` are the metric's tags.  Numeric metrics are
+    lower-is-better unless ``higher`` (the reported ``delta_pct`` stays
+    the raw signed change, relative to ``|baseline|``); booleans are
     good-is-true.  The baseline of a boolean series is its median as
     0/1, so one historical flake does not flip the expectation.
     """
-    band = wall_band_pct if is_wall_metric(metric) else 0.0
+    band = WALL_BAND_PCT if wall else 0.0
     if isinstance(current, bool):
         expected = baseline >= 0.5
         if current and not expected:
             cls = "improved"
-        elif not current and expected:
-            cls = "regressed"
-        elif not current:        # broken, and was already broken
+        elif not current:        # broke, or was already broken
             cls = "regressed"
         else:
             cls = "flat"
         return Delta(key=None, metric=metric, current=current,
                      baseline=expected, classification=cls,
                      gating=True)
-    inverted = metric in _HIGHER_IS_BETTER
+    sense = -1 if higher else 1      # worse = positive ``change``
     if baseline == 0:
-        if current == 0:
-            cls, pct = "flat", 0.0
-        else:
-            worse = current > 0
-            if inverted:
-                worse = not worse
-            cls, pct = ("regressed" if worse else "improved"), None
+        pct = 0.0 if current == 0 else None
+        change, limit = sense * current, 0.0
     else:
-        pct = 100.0 * (current - baseline) / baseline
-        if pct > band:
-            cls = "improved" if inverted else "regressed"
-        elif pct < -band:
-            cls = "regressed" if inverted else "improved"
-        else:
-            cls = "flat"
+        pct = 100.0 * (current - baseline) / abs(baseline)
+        change, limit = sense * pct, band
+    if change > limit:
+        cls = "regressed"
+    elif change < -limit:
+        cls = "improved"
+    else:
+        cls = "flat"
     return Delta(key=None, metric=metric, current=current,
                  baseline=baseline, delta_pct=pct, classification=cls,
-                 gating=band == 0.0)
+                 gating=not wall)
 
 
 def evaluate(records: Sequence[Record],
-             window: int = DEFAULT_WINDOW,
-             wall_band_pct: float = DEFAULT_WALL_BAND,
-             gate_wall: bool = False,
              kinds: Optional[Sequence[str]] = None) -> GateReport:
     """Gate the latest observation of every cell against its rolling
     baseline.  ``records`` must be in history (file) order; ``kinds``
     restricts the evaluation to some record kinds."""
-    report = GateReport(window=window, wall_band_pct=wall_band_pct,
-                        gate_wall=gate_wall)
+    report = GateReport()
     by_key: Dict[CellKey, List[Record]] = {}
     for record in records:
         if kinds and record.key.kind not in kinds:
@@ -242,20 +210,18 @@ def evaluate(records: Sequence[Record],
                 detail=f"{latest.status}: {latest.detail}"))
             continue
         for metric, current in latest.metrics.items():
-            values = [r.metrics[metric] for r in prior[-window:]
+            values = [r.metrics[metric] for r in prior[-WINDOW:]
                       if metric in r.metrics]
             if not values:
                 report.deltas.append(Delta(
                     key=key, metric=metric, current=current,
                     classification="new", gating=False))
                 continue
-            baseline = rolling_baseline(
-                [float(v) for v in values], window)
-            delta = classify(metric, current, baseline,
-                             wall_band_pct=wall_band_pct)
+            delta = classify(metric, current,
+                             rolling_baseline([float(v) for v in values]),
+                             wall=metric in latest.wall,
+                             higher=metric in latest.higher)
             delta.key = key
-            if not delta.gating and gate_wall:
-                delta.gating = True
             report.deltas.append(delta)
     return report
 
@@ -263,21 +229,28 @@ def evaluate(records: Sequence[Record],
 def inject_synthetic_regression(records: Sequence[Record],
                                 pct: float) -> List[Record]:
     """Self-test fixture for the gate plumbing: append a synthetic run
-    that degrades every numeric metric of each cell's latest accepted
-    observation by ``pct`` percent (booleans and statuses untouched).
-    Used by tests and the CI ``bench-gate`` job to prove the gate
-    actually fires — the store file itself is never modified."""
+    that moves every numeric metric of each cell's latest accepted
+    observation ``pct`` percent in its worse direction (by its
+    ``higher`` tag; a zero moves by ``pct/100``; booleans and statuses
+    untouched).  Used by tests and the CI ``bench-gate`` job to prove
+    the gate actually fires — the store file itself is never
+    modified."""
     latest: Dict[CellKey, Record] = {}
     for record in records:
         if record.accepted:
             latest[record.key] = record
     scaled = []
     for key, record in latest.items():
-        metrics = {name: (value if isinstance(value, bool)
-                          else value * (1.0 + pct / 100.0))
-                   for name, value in record.metrics.items()}
-        scaled.append(Record(key=key, metrics=metrics, status="ok",
-                             commit=record.commit,
+        metrics = {}
+        for name, value in record.metrics.items():
+            if not isinstance(value, bool):
+                step = (abs(value) or 1.0) * pct / 100.0
+                value = value - step if name in record.higher \
+                    else value + step
+            metrics[name] = value
+        scaled.append(Record(key=key, metrics=metrics,
+                             wall=record.wall, higher=record.higher,
+                             status="ok", commit=record.commit,
                              run_id=record.run_id + "-synthetic",
                              ts=record.ts))
     return list(records) + scaled

@@ -28,11 +28,10 @@ from __future__ import annotations
 
 import functools
 import hashlib
-import json
 import multiprocessing
 import time
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Union
+from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 from ..compiler.frontend import compile_source
 from ..core.bootstrap import PROVISION_CACHE, BootstrapEnclave, RunOutcome
@@ -45,6 +44,7 @@ from ..sgx.layout import EnclaveConfig
 from ..vm.costmodel import CostModel
 from ..vm.interrupts import AexSchedule
 from ..workloads import Workload, get_workload
+from . import store
 
 #: The evaluation columns of Table II / Figs 7-9.
 PAPER_SETTINGS = ("baseline", "P1", "P1+P2", "P1-P5", "P1-P6")
@@ -86,6 +86,10 @@ class BenchResult:
     #: IC hits, compiles, invalidations, mean instructions retired per
     #: dispatch); None under the step engine.
     jit: Optional[dict] = None
+    #: Bench executor label and JIT tier of the engine that ran the
+    #: cell (see :func:`engine`).
+    executor: str = "translate"
+    tier: int = 2
 
     @property
     def ok(self) -> bool:
@@ -102,25 +106,29 @@ class BenchResult:
             return 0.0
         return 100.0 * (self.cycles - baseline.cycles) / baseline.cycles
 
-    def to_dict(self) -> dict:
-        return {
-            "workload": self.workload,
-            "setting": self.setting,
-            "param": self.param,
-            "steps": self.steps,
-            "cycles": self.cycles,
-            "aex_events": self.aex_events,
-            "text_bytes": self.text_bytes,
-            "status": self.status,
-            "detail": self.detail,
-            "wall_s": round(self.wall_s, 6),
-            "ips": round(self.ips, 1),
-            "overhead_pct": round(self.overhead_pct, 4),
-            "provision_cache_hits": self.provision_cache_hits,
-            "retries": self.retries,
-            "recoveries": self.recoveries,
-            **({"jit": self.jit} if self.jit is not None else {}),
-        }
+    def cell(self) -> dict:
+        """This result as a results-store cell.  The cost model is
+        simulated, so every metric but ``wall_s`` is deterministic."""
+        return store.cell(
+            "vm", self.workload, self.setting, self.param,
+            {"cycles": self.cycles, "steps": self.steps,
+             "aex_events": self.aex_events,
+             "text_bytes": self.text_bytes,
+             "overhead_pct": round(self.overhead_pct, 4),
+             "wall_s": round(self.wall_s, 6)},
+            wall=("wall_s",), executor=self.executor, tier=self.tier,
+            status=self.status, detail=self.detail)
+
+
+def engine(cost_model: CostModel) -> Tuple[str, int]:
+    """The bench executor label and JIT tier a cost model runs: the
+    step oracle (tier 0), the unchained tier-1 translator
+    (``translate-t1``) or the chained tier-2 translator."""
+    if cost_model.executor == "step":
+        return "step", 0
+    if cost_model.jit_chain:
+        return "translate", 2
+    return "translate-t1", 1
 
 
 @functools.lru_cache(maxsize=256)
@@ -259,6 +267,7 @@ def run_workload(workload: Union[str, Workload], setting: str,
         workload = get_workload(workload)
     effective_param = param if param is not None else \
         workload.default_param
+    executor, tier = engine(cost_model or CostModel())
     try:
         policies = PolicySet.parse(setting)
         blob = compile_workload(workload, setting, param, light=light)
@@ -319,7 +328,8 @@ def run_workload(workload: Union[str, Workload], setting: str,
             raise
         return BenchResult(workload=workload.name, setting=setting,
                            param=effective_param, steps=0, cycles=0.0,
-                           status="error", detail=str(exc))
+                           status="error", detail=str(exc),
+                           executor=executor, tier=tier)
     result = BenchResult(
         workload=workload.name, setting=setting,
         param=effective_param,
@@ -334,7 +344,8 @@ def run_workload(workload: Union[str, Workload], setting: str,
         provision_cache_hits=outcome.provision_cache_hits,
         retries=retries,
         recoveries=recoveries,
-        jit=outcome.jit_stats)
+        jit=outcome.jit_stats,
+        executor=executor, tier=tier)
     if outcome.status != "ok":
         if strict:
             raise RuntimeError(
@@ -462,10 +473,9 @@ class RunMatrix(dict):
 
     Plain dict plus a machine-readable serialization, so benchmark
     sweeps can be archived (``BENCH_vm.json``) and diffed across
-    commits.  ``executor`` records which VM engine produced the numbers
-    (see :class:`~repro.vm.costmodel.CostModel.executor`);
-    ``parallelism`` records the worker-pool size the cells ran under
-    (1 = serial)."""
+    commits.  ``executor`` records the bench label of the engine that
+    produced the numbers (see :func:`engine`); ``parallelism`` records
+    the worker-pool size the cells ran under (1 = serial)."""
 
     def __init__(self, executor: str = "translate",
                  parallelism: int = 1):
@@ -496,7 +506,7 @@ class RunMatrix(dict):
         workloads = list(workloads)
         settings = tuple(settings)
         jobs = max(1, int(jobs))
-        matrix = cls(executor=cm.executor, parallelism=jobs)
+        matrix = cls(executor=engine(cm)[0], parallelism=jobs)
         if jobs == 1:
             for name in workloads:
                 matrix[name] = overhead_matrix(
@@ -565,33 +575,36 @@ class RunMatrix(dict):
         return sum(r.steps for row in self.values()
                    for r in row.values())
 
-    def to_json(self) -> dict:
-        """JSON-ready document: per-cell steps/cycles/wall/ips plus
-        sweep-level totals."""
+    def cells(self) -> List[dict]:
+        return [r.cell() for row in self.values() for r in row.values()]
+
+    def totals(self) -> dict:
+        """Sweep-level totals: wall, steps, ips, cache hits, chaos
+        retries/recoveries, failed cells and JIT aggregates."""
+        cells = [r for row in self.values() for r in row.values()]
         return {
-            "schema": "deflection-bench/1",
+            "wall_s": round(self.total_wall_s, 6),
+            "steps": self.total_steps,
+            "ips": round(self.total_steps / self.total_wall_s, 1)
+            if self.total_wall_s > 0 else 0.0,
+            "provision_cache_hits": sum(r.provision_cache_hits
+                                        for r in cells),
+            "retries": sum(r.retries for r in cells),
+            "recoveries": sum(r.recoveries for r in cells),
+            "failed_cells": self.failures,
+            **self._jit_totals(),
+        }
+
+    def to_json(self) -> dict:
+        """JSON-ready document: sweep totals plus one store cell per
+        (workload, setting)."""
+        return {
+            "schema": store.DOC_SCHEMA,
+            "kind": "vm",
             "executor": self.executor,
             "parallelism": self.parallelism,
-            "totals": {
-                "wall_s": round(self.total_wall_s, 6),
-                "steps": self.total_steps,
-                "ips": round(self.total_steps / self.total_wall_s, 1)
-                if self.total_wall_s > 0 else 0.0,
-                "provision_cache_hits": sum(
-                    r.provision_cache_hits for row in self.values()
-                    for r in row.values()),
-                "retries": sum(r.retries for row in self.values()
-                               for r in row.values()),
-                "recoveries": sum(r.recoveries for row in self.values()
-                                  for r in row.values()),
-                "failed_cells": self.failures,
-                **self._jit_totals(),
-            },
-            "workloads": {
-                name: {setting: result.to_dict()
-                       for setting, result in row.items()}
-                for name, row in self.items()
-            },
+            "totals": self.totals(),
+            "cells": self.cells(),
         }
 
     def _jit_totals(self) -> dict:
@@ -615,8 +628,3 @@ class RunMatrix(dict):
         total["ic_hit_rate"] = \
             round(total["ic_hits"] / probes, 4) if probes else 0.0
         return {"jit": total}
-
-    def write_json(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_json(), fh, indent=2, sort_keys=False)
-            fh.write("\n")

@@ -17,19 +17,16 @@ Every cell's output is chain-verified (the full provenance chain of
 every chunk re-verified against the pipeline input and final output
 digests) and compared byte-for-byte against the **unfaulted serial
 oracle** — the same verified stages run plainly, chunk by chunk.  A
-cell whose run completes but fails either check is downgraded to
+cell whose run completes but fails either check is marked
 ``divergent`` and never feeds a baseline.
 
-Metric families, split as the results store expects:
-
-* **deterministic** (zero noise band): link/hop/chunk counts, resume
-  and retry counters, rejected-handoff and rejected-chain-attack
-  counts, migrations, stalls, discard-reruns, the chain-verified and
-  output-identical booleans — all pure functions of the seed;
-* **wall clock** (advisory band): total wall seconds, throughput as
-  ``records_per_s`` (the one store metric where *higher* is better —
-  the gate layer knows), and the p99 per-chunk latency
-  ``chunk_p99_s``.
+Each cell is one store cell keyed ``(topology, mode-faults, chunks)``.
+Link/hop/chunk counts, resume and retry counters, rejected-handoff and
+rejected-chain-attack counts, migrations, stalls, discard-reruns and
+the chain-verified / output-identical booleans are deterministic (pure
+functions of the seed).  Total wall seconds, throughput
+``records_per_s`` (tagged ``higher``) and the p99 per-chunk latency
+``chunk_p99_s`` are tagged ``wall``.
 """
 
 from __future__ import annotations
@@ -42,9 +39,7 @@ from ..service.faults import PipelineFaultPlan, _pipeline_data
 from ..service.pipeline import (
     PipelineOrchestrator, TOPOLOGIES, serial_oracle, topology_stages,
 )
-
-#: Bench document schema tag.
-SCHEMA = "deflection-pipeline/1"
+from . import store
 
 #: Fault settings swept per (topology, mode) pair.
 FAULT_SETTINGS = ("clean", "chaos")
@@ -93,36 +88,31 @@ def _run_cell(seed: int, topology: str, mode: str, faults: str, *,
     status = run.status
     if status == "ok" and not (run.chain_verified and identical):
         status = "divergent"
-    return {
-        "topology": topology,
-        "mode": mode,
-        "faults": faults,
-        "status": status,
-        "detail": run.detail or run.chain_detail,
-        "stages": len(stages),
-        "chunks": run.chunks,
-        "links": run.counters["links"],
-        "chain_verified": bool(run.chain_verified),
-        "output_identical": identical,
-        "retries": stats.retries,
-        "reconnects": stats.reconnects,
-        "recoveries": stats.recoveries,
-        "resumes": stats.resumes,
-        "rollbacks_rejected": stats.rollbacks_rejected,
-        "handoffs_rejected": run.counters["handoffs_rejected"],
-        "chain_attacks_rejected":
-            run.counters["chain_attacks_rejected"],
-        "attacks_accepted": run.counters["attacks_accepted"],
-        "discard_reruns": run.counters["discard_reruns"],
-        "migrations": run.counters["migrations"],
-        "stalls": run.counters["stalls"],
-        "rekeys": run.counters["rekeys"],
-        "max_in_flight": run.max_in_flight,
-        "upstream_excess": run.upstream_reruns,
-        "wall_s": wall_s,
-        "records_per_s": run.chunks / wall_s if wall_s else 0.0,
-        "chunk_p99_s": _percentile(run.chunk_latencies, 0.99),
-    }
+    counters = run.counters
+    return store.cell(
+        "pipeline", topology, f"{mode}-{faults}", run.chunks, {
+            "chain_verified": bool(run.chain_verified),
+            "output_identical": identical,
+            "links": counters["links"],
+            "chunks": run.chunks,
+            "stages": len(stages),
+            "resumes": stats.resumes,
+            "retries": stats.retries,
+            "recoveries": stats.recoveries,
+            "rollbacks_rejected": stats.rollbacks_rejected,
+            "handoffs_rejected": counters["handoffs_rejected"],
+            "chain_attacks_rejected": counters["chain_attacks_rejected"],
+            "attacks_accepted": counters["attacks_accepted"],
+            "discard_reruns": counters["discard_reruns"],
+            "migrations": counters["migrations"],
+            "stalls": counters["stalls"],
+            "upstream_excess": run.upstream_reruns,
+            "wall_s": wall_s,
+            "records_per_s": run.chunks / wall_s if wall_s else 0.0,
+            "chunk_p99_s": _percentile(run.chunk_latencies, 0.99),
+        }, wall=("wall_s", "records_per_s", "chunk_p99_s"),
+        higher=("records_per_s",), status=status,
+        detail=run.detail or run.chain_detail)
 
 
 def run_pipeline_bench(seed: int = 2021, *,
@@ -148,15 +138,17 @@ def run_pipeline_bench(seed: int = 2021, *,
                     checkpoint_every=checkpoint_every, cache=cache))
     bad = [c for c in cells if c["status"] != "ok"]
     return {
-        "schema": SCHEMA,
+        "schema": store.DOC_SCHEMA,
+        "kind": "pipeline",
         "seed": seed,
         "status": "ok" if not bad else bad[0]["status"],
-        "cells": cells,
-        "all_chain_verified": all(c["chain_verified"] for c in cells),
-        "all_output_identical": all(c["output_identical"]
+        "all_chain_verified": all(c["metrics"]["chain_verified"]
+                                  for c in cells),
+        "all_output_identical": all(c["metrics"]["output_identical"]
                                     for c in cells),
         "wall_s": time.perf_counter() - began,
         "provision_cache": cache.stats(),
+        "cells": cells,
     }
 
 
@@ -173,16 +165,16 @@ def format_pipeline_table(doc: dict) -> str:
     from .tables import format_table
     rows = []
     for cell in doc["cells"]:
+        m = cell["metrics"]
         rows.append([
-            f"{cell['topology']}/{cell['mode']}/{cell['faults']}",
+            f"{cell['workload']}/{cell['setting']}",
             cell["status"],
-            "yes" if cell["chain_verified"] else "NO",
-            "yes" if cell["output_identical"] else "NO",
-            str(cell["resumes"]),
-            str(cell["handoffs_rejected"]
-                + cell["chain_attacks_rejected"]),
-            f"{cell['records_per_s']:.1f}",
-            f"{cell['chunk_p99_s'] * 1000:.0f}ms",
+            "yes" if m["chain_verified"] else "NO",
+            "yes" if m["output_identical"] else "NO",
+            str(m["resumes"]),
+            str(m["handoffs_rejected"] + m["chain_attacks_rejected"]),
+            f"{m['records_per_s']:.1f}",
+            f"{m['chunk_p99_s'] * 1000:.0f}ms",
         ])
     title = f"pipeline bench (seed {doc['seed']}, status {doc['status']})"
     return format_table(

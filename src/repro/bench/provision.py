@@ -29,7 +29,6 @@ bookkeeping (hashing, audit records) present in only one driver.
 
 from __future__ import annotations
 
-import json
 import multiprocessing
 from dataclasses import dataclass, field
 from time import perf_counter
@@ -44,6 +43,7 @@ from ..core.rewriter import build_value_map
 from ..errors import ReproError
 from ..policy.policies import PolicySet
 from ..workloads import get_workload
+from . import store
 from .harness import PAPER_SETTINGS, compile_workload
 
 #: The pipeline stages every cold provisioning is decomposed into.
@@ -81,26 +81,21 @@ class ProvisionResult:
     def ok(self) -> bool:
         return self.status == "ok"
 
-    def to_dict(self) -> dict:
+    def cell(self) -> dict:
+        """This result as a results-store cell: byte-identity and the
+        size/instruction counts are deterministic, the cold/warm
+        totals (ms) are wall clock."""
         ms = lambda s: round(s * 1e3, 4)  # noqa: E731 - local shorthand
-        return {
-            "workload": self.workload,
-            "setting": self.setting,
-            "param": self.param,
-            "text_bytes": self.text_bytes,
-            "instructions": self.instructions,
-            "legacy_stages_ms": {k: ms(v)
-                                 for k, v in self.legacy_stages.items()},
-            "new_stages_ms": {k: ms(v)
-                              for k, v in self.new_stages.items()},
-            "legacy_cold_ms": ms(self.legacy_cold_s),
-            "new_cold_ms": ms(self.new_cold_s),
-            "warm_ms": ms(self.warm_s),
-            "speedup": round(self.speedup, 2),
-            "identical": self.identical,
-            "status": self.status,
-            "detail": self.detail,
-        }
+        return store.cell(
+            "provision", self.workload, self.setting, self.param,
+            {"identical": self.identical,
+             "text_bytes": self.text_bytes,
+             "instructions": self.instructions,
+             "legacy_cold_ms": ms(self.legacy_cold_s),
+             "new_cold_ms": ms(self.new_cold_s),
+             "warm_ms": ms(self.warm_s)},
+            wall=("legacy_cold_ms", "new_cold_ms", "warm_ms"),
+            status=self.status, detail=self.detail)
 
 
 def _legacy_provision(boot: BootstrapEnclave,
@@ -237,9 +232,8 @@ def _safe_cell(name: str, setting: str, param, repeats: int,
 
 
 class ProvisionMatrix(dict):
-    """A ``{workload: {setting: ProvisionResult}}`` provisioning sweep
-    with the same document shape as the VM run matrix
-    (``BENCH_vm.json``): sweep totals plus per-cell dicts."""
+    """A ``{workload: {setting: ProvisionResult}}`` provisioning sweep;
+    its document is sweep totals plus one store cell per cell."""
 
     def __init__(self, parallelism: int = 1, repeats: int = 3):
         super().__init__()
@@ -311,10 +305,17 @@ class ProvisionMatrix(dict):
         ok = [c for c in self.cells if c.ok]
         legacy = sum(c.legacy_cold_s for c in ok)
         new = sum(c.new_cold_s for c in ok)
+
+        def stages_ms(attr):
+            return {stage: round(sum(getattr(c, attr).get(stage, 0.0)
+                                     for c in ok) * 1e3, 3)
+                    for stage in STAGES}
         return {
             "cells": len(self.cells),
             "legacy_cold_ms": round(legacy * 1e3, 3),
             "new_cold_ms": round(new * 1e3, 3),
+            "legacy_stages_ms": stages_ms("legacy_stages"),
+            "new_stages_ms": stages_ms("new_stages"),
             "warm_ms": round(sum(c.warm_s for c in ok) * 1e3, 3),
             "cold_speedup": round(legacy / new, 2) if new > 0 else 0.0,
             "divergent_cells": self.divergent_cells,
@@ -323,18 +324,10 @@ class ProvisionMatrix(dict):
 
     def to_json(self) -> dict:
         return {
-            "schema": "deflection-provision/1",
+            "schema": store.DOC_SCHEMA,
+            "kind": "provision",
             "parallelism": self.parallelism,
             "repeats": self.repeats,
             "totals": self.totals(),
-            "workloads": {
-                name: {setting: cell.to_dict()
-                       for setting, cell in row.items()}
-                for name, row in self.items()
-            },
+            "cells": [c.cell() for c in self.cells],
         }
-
-    def write_json(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_json(), fh, indent=2, sort_keys=False)
-            fh.write("\n")

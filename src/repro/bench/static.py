@@ -21,7 +21,6 @@ gate as much as a measurement.
 
 from __future__ import annotations
 
-import json
 import multiprocessing
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional
@@ -31,6 +30,7 @@ from ..compiler.objfile import ObjectFile
 from ..errors import ReproError
 from ..policy.policies import PolicySet
 from ..workloads import get_workload
+from . import store
 from .harness import compile_workload, run_workload
 
 #: The guard-bearing settings of the paper matrix (baseline has no
@@ -73,29 +73,24 @@ class StaticResult:
     def ok(self) -> bool:
         return self.status == "ok"
 
-    def to_dict(self) -> dict:
-        return {
-            "workload": self.workload,
-            "setting": self.setting,
-            "param": self.param,
-            "steps": self.steps,
-            "cycles_full": self.cycles_full,
-            "cycles_light": self.cycles_light,
-            "overhead_full_pct": round(self.overhead_full_pct, 4),
-            "overhead_light_pct": round(self.overhead_light_pct, 4),
-            "overhead_cut_pct": round(self.overhead_cut_pct, 4),
-            "guard_sites_full": self.guard_sites_full,
-            "guard_sites_light": self.guard_sites_light,
-            "elided": dict(self.elided),
-            "proof_entries": self.proof_entries,
-            "text_bytes_full": self.text_bytes_full,
-            "text_bytes_light": self.text_bytes_light,
-            "annotation_bytes_saved": self.annotation_bytes_saved,
-            "verified_light": self.verified_light,
-            "outputs_identical": self.outputs_identical,
-            "status": self.status,
-            "detail": self.detail,
-        }
+    def cell(self) -> dict:
+        """This result as a results-store cell.  Cycle accounts come
+        from the simulated cost model and guard-site counts from the
+        static analyzer, so every metric is deterministic."""
+        return store.cell(
+            "static", self.workload, self.setting, self.param,
+            {"cycles_light": self.cycles_light,
+             "overhead_full_pct": round(self.overhead_full_pct, 4),
+             "overhead_light_pct": round(self.overhead_light_pct, 4),
+             "overhead_cut_pct": round(self.overhead_cut_pct, 4),
+             "guard_sites_full": self.guard_sites_full,
+             "residual_guard_sites": self.guard_sites_light,
+             "proof_entries": self.proof_entries,
+             "text_bytes_light": self.text_bytes_light,
+             "outputs_identical": self.outputs_identical,
+             "verified_light": self.verified_light},
+            higher=("overhead_cut_pct", "proof_entries"),
+            status=self.status, detail=self.detail)
 
 
 def _guard_sites(report) -> int:
@@ -191,8 +186,8 @@ def _spool_cell(name: str, setting: str) -> StaticResult:
 
 
 class StaticMatrix(dict):
-    """A ``{workload: {setting: StaticResult}}`` ablation sweep with
-    the same document conventions as the other BENCH matrices."""
+    """A ``{workload: {setting: StaticResult}}`` ablation sweep; its
+    document is sweep totals plus one store cell per cell."""
 
     def __init__(self, parallelism: int = 1):
         super().__init__()
@@ -265,17 +260,9 @@ class StaticMatrix(dict):
 
     def to_json(self) -> dict:
         return {
-            "schema": "deflection-static/1",
+            "schema": store.DOC_SCHEMA,
+            "kind": "static",
             "parallelism": self.parallelism,
             "totals": self.totals(),
-            "workloads": {
-                name: {setting: cell.to_dict()
-                       for setting, cell in row.items()}
-                for name, row in self.items()
-            },
+            "cells": [c.cell() for c in self.cells],
         }
-
-    def write_json(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_json(), fh, indent=2, sort_keys=False)
-            fh.write("\n")

@@ -1,34 +1,40 @@
 """Continuous benchmark results store — the tko-style trajectory.
 
 The ``BENCH_*.json`` documents are point-in-time snapshots: each sweep
-overwrites the last, so six PRs of perf work leave no machine-checkable
-history and a regression in any hot path lands silently.  This module
-is the append-only complement: every bench run — VM run matrices,
-provisioning sweeps, checkpoint sweeps, the CI smoke cells — is
-*ingested* into a JSONL store, one line per matrix cell, keyed by the
-full measurement context::
+overwrites the last, so perf work leaves no machine-checkable history
+and a regression in any hot path lands silently.  This module is the
+append-only complement.
 
-    (kind, executor, jit tier, workload, setting, param)
+Every ``repro bench`` kind produces one document shape::
 
-plus run metadata (commit, run id, timestamp).  The store never
-rewrites history; a new sweep appends a new generation of records, and
-the rolling baseline for a cell is the **median of the last K accepted
-runs** of that exact key (accepted = the cell completed ``ok``).
-:mod:`repro.bench.gates` consumes the ordered record stream and turns
-it into improved / flat / regressed classifications with per-metric
-noise bands.
+    {"schema": "deflection-bench/2", "kind": ..., "cells": [...],
+     <the kind's human summary blocks: totals, comparison, ...>}
+
+and every cell comes from :func:`cell`, keyed by the full measurement
+context ``(kind, executor, jit tier, workload, setting, param)``.  A
+cell's metrics carry their own semantics, set by the producer that
+computes them:
+
+* ``wall`` names the wall-clock metrics — host noise, gated with a
+  percentage band and advisory only.  Every other metric is
+  deterministic (the cost model and the seeded services are simulated)
+  and gates with a zero band.
+* ``higher`` names the numeric metrics where higher is better; every
+  other numeric metric is lower-is-better.  Booleans are good-is-true
+  by type and never appear in ``higher``.
+
+:func:`records_from_doc` turns a document's cells into :class:`Record`
+lines, one per cell, stamped with run metadata (commit, run id,
+timestamp).  The store never rewrites history; a new sweep appends a
+new generation of records, and :mod:`repro.bench.gates` rolls each
+cell's baseline over the last accepted runs of that exact key
+(accepted = the cell completed ``ok``).
 
 Design notes:
 
 * JSONL, not a database: append is a single ``O_APPEND`` write, the
   file diffs cleanly in review, and a truncated tail line (a crashed
   writer) damages one record, not the store.
-* Metric *names* encode semantics for the gate layer: deterministic
-  metrics (``cycles``, ``steps``, ``aex_events``, byte counts,
-  booleans) carry a zero noise band — the simulation is deterministic,
-  so any drift is a real behaviour change — while wall-clock metrics
-  (``wall_s``, ``*_cold_ms``, ``warm_ms``, ``plain_wall_s``,
-  ``overhead_pct@N``) are host noise and get a percentage band.
 * One record per cell, not per run: baselines are per-cell, and a cell
   that disappears from later sweeps simply stops generating records
   instead of poisoning run-level comparisons.
@@ -40,23 +46,20 @@ import json
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from ..errors import ReproError
 
 #: Store line schema tag.
-SCHEMA = "deflection-results/1"
+SCHEMA = "deflection-results/2"
+
+#: Bench document schema tag, shared by every kind.
+DOC_SCHEMA = "deflection-bench/2"
 
 #: Every measurement kind the store accepts.  Checked at CellKey
 #: construction so a typo'd kind raises :class:`StoreError` instead of
 #: silently forking a fresh baseline family nothing ever gates.
-KINDS = frozenset({"vm", "provision", "checkpoint", "fleet", "static",
-                   "pipeline"})
-
-#: JIT tier per bench executor label (the label, not
-#: ``CostModel.executor`` — ``translate-t1`` resolves to the translate
-#: engine with chaining off, so only the label still knows the tier).
-TIERS = {"step": 0, "translate-t1": 1, "translate": 2}
+KINDS = ("vm", "provision", "checkpoint", "fleet", "static", "pipeline")
 
 Metric = Union[int, float, bool]
 
@@ -93,12 +96,41 @@ class CellKey:
         return ":".join(bits)
 
 
+def _check_tags(metrics: Dict[str, Metric], wall: Sequence[str],
+                higher: Sequence[str]) -> None:
+    for name in list(wall) + list(higher):
+        if name not in metrics:
+            raise StoreError(f"tag names metric {name!r}, which the "
+                             f"cell does not have")
+    for name in higher:
+        if isinstance(metrics[name], bool):
+            raise StoreError(f"boolean metric {name!r} tagged "
+                             f"higher-is-better")
+
+
+def cell(kind: str, workload: str, setting: str, param: Optional[int],
+         metrics: Dict[str, Metric], *, wall: Sequence[str] = (),
+         higher: Sequence[str] = (), executor: str = "", tier: int = -1,
+         status: str = "ok", detail: str = "") -> dict:
+    """One bench cell — the unit every ``repro bench`` kind produces,
+    stores and gates.  ``wall``/``higher`` tag metrics by name (see the
+    module docstring); a tag naming a missing metric, or a boolean
+    tagged ``higher``, raises :class:`StoreError`."""
+    _check_tags(metrics, wall, higher)
+    return {"kind": kind, "executor": executor, "tier": tier,
+            "workload": workload, "setting": setting, "param": param,
+            "status": status, "detail": detail, "metrics": metrics,
+            "wall": list(wall), "higher": list(higher)}
+
+
 @dataclass
 class Record:
     """One cell observation — one JSONL line."""
 
     key: CellKey
     metrics: Dict[str, Metric]
+    wall: Tuple[str, ...] = ()
+    higher: Tuple[str, ...] = ()
     status: str = "ok"
     commit: str = "unknown"
     run_id: str = ""
@@ -109,6 +141,22 @@ class Record:
     def accepted(self) -> bool:
         """Only clean cells feed the rolling baseline."""
         return self.status == "ok"
+
+    @classmethod
+    def from_cell(cls, doc: dict) -> "Record":
+        """A :func:`cell` dict (or a store line's fields) as a record;
+        run metadata is read when present."""
+        key = CellKey(kind=doc["kind"], executor=doc["executor"],
+                      tier=int(doc["tier"]), workload=doc["workload"],
+                      setting=doc["setting"], param=doc["param"])
+        metrics = dict(doc["metrics"])
+        wall, higher = tuple(doc["wall"]), tuple(doc["higher"])
+        _check_tags(metrics, wall, higher)
+        return cls(key=key, metrics=metrics, wall=wall, higher=higher,
+                   status=doc["status"], detail=doc.get("detail", ""),
+                   commit=doc.get("commit", "unknown"),
+                   run_id=doc.get("run_id", ""),
+                   ts=float(doc.get("ts", 0.0)))
 
     def to_line(self) -> str:
         doc = {
@@ -124,6 +172,8 @@ class Record:
             "param": self.key.param,
             "status": self.status,
             "metrics": self.metrics,
+            "wall": list(self.wall),
+            "higher": list(self.higher),
         }
         if self.detail:
             doc["detail"] = self.detail
@@ -142,14 +192,10 @@ class Record:
                 f"results store line {lineno}: schema "
                 f"{doc.get('schema')!r}, want {SCHEMA!r}")
         try:
-            key = CellKey(kind=doc["kind"], executor=doc["executor"],
-                          tier=int(doc["tier"]),
-                          workload=doc["workload"],
-                          setting=doc["setting"], param=doc["param"])
-            return cls(key=key, metrics=dict(doc["metrics"]),
-                       status=doc["status"], commit=doc["commit"],
-                       run_id=doc["run_id"], ts=float(doc["ts"]),
-                       detail=doc.get("detail", ""))
+            return cls.from_cell(doc)
+        except StoreError as exc:
+            raise StoreError(f"results store line {lineno}: {exc}") \
+                from exc
         except (KeyError, TypeError, ValueError) as exc:
             raise StoreError(
                 f"results store line {lineno}: missing/invalid field "
@@ -201,10 +247,6 @@ def new_run_id(kind: str, commit: str,
     return f"{kind}-{commit}-{int(ts * 1000):x}"
 
 
-# --------------------------------------------------------------------
-# Ingest builders: BENCH_* documents -> per-cell records
-# --------------------------------------------------------------------
-
 def stamp_run(records: List[Record], commit: str, run_id: str = "",
               ts: Optional[float] = None) -> List[Record]:
     """Stamp one ingest's run metadata onto every record."""
@@ -219,291 +261,16 @@ def stamp_run(records: List[Record], commit: str, run_id: str = "",
     return records
 
 
-def vm_cell_record(executor_label: str, cell: dict) -> Record:
-    """One ``RunMatrix`` cell dict (``BenchResult.to_dict``) as a
-    record.  ``cycles``/``steps``/``aex_events``/``overhead_pct`` are
-    deterministic (the cost model is simulated); ``wall_s`` is host
-    time."""
-    key = CellKey(kind="vm", executor=executor_label,
-                  tier=TIERS.get(executor_label, -1),
-                  workload=cell["workload"], setting=cell["setting"],
-                  param=cell.get("param"))
-    metrics: Dict[str, Metric] = {
-        "cycles": cell["cycles"],
-        "steps": cell["steps"],
-        "aex_events": cell["aex_events"],
-        "text_bytes": cell.get("text_bytes", 0),
-        "overhead_pct": cell.get("overhead_pct", 0.0),
-        "wall_s": cell.get("wall_s", 0.0),
-    }
-    return Record(key=key, metrics=metrics,
-                  status=cell.get("status", "ok"),
-                  detail=cell.get("detail", ""))
-
-
-def records_from_vm_doc(doc: dict,
-                        executor_label: Optional[str] = None
-                        ) -> List[Record]:
-    """Ingest a ``BENCH_vm.json`` document — either a single-executor
-    ``RunMatrix.to_json()`` or the multi-executor comparison wrapper.
-    ``executor_label`` overrides the document's executor field for
-    single-matrix docs (the tier-1 label is erased by the cost model).
-    """
-    records = []
-    if "executors" in doc:
-        for label, sub in doc["executors"].items():
-            for row in sub.get("workloads", {}).values():
-                for cell in row.values():
-                    records.append(vm_cell_record(label, cell))
-        return records
-    label = executor_label or doc.get("executor", "translate")
-    for row in doc.get("workloads", {}).values():
-        for cell in row.values():
-            records.append(vm_cell_record(label, cell))
-    return records
-
-
-def records_from_smoke_cells(cells: Dict[str, "object"]
-                             ) -> List[Record]:
-    """Ingest the ``repro bench --smoke`` cells — one
-    :class:`~repro.bench.harness.BenchResult` per executor label."""
-    return [vm_cell_record(label, result.to_dict())
-            for label, result in cells.items()]
-
-
-def records_from_provision_doc(doc: dict) -> List[Record]:
-    """Ingest a ``BENCH_provision.json`` document.  Byte-identity and
-    size/instruction counts are deterministic; the stage timings and
-    cold/warm totals are wall clock."""
-    records = []
-    for row in doc.get("workloads", {}).values():
-        for cell in row.values():
-            key = CellKey(kind="provision", executor="", tier=-1,
-                          workload=cell["workload"],
-                          setting=cell["setting"],
-                          param=cell.get("param"))
-            metrics: Dict[str, Metric] = {
-                "identical": bool(cell.get("identical", False)),
-                "text_bytes": cell.get("text_bytes", 0),
-                "instructions": cell.get("instructions", 0),
-                "legacy_cold_ms": cell.get("legacy_cold_ms", 0.0),
-                "new_cold_ms": cell.get("new_cold_ms", 0.0),
-                "warm_ms": cell.get("warm_ms", 0.0),
-            }
-            records.append(Record(key=key, metrics=metrics,
-                                  status=cell.get("status", "ok"),
-                                  detail=cell.get("detail", "")))
-    return records
-
-
-def records_from_checkpoint_doc(doc: dict) -> List[Record]:
-    """Ingest a ``BENCH_checkpoint.json`` document.  Resume identity,
-    rollback rejection, step counts and sealed-chain sizes are
-    deterministic; the per-interval overhead is wall clock."""
-    records = []
-    for cell in doc.get("cells", []):
-        resumes = cell.get("resumes", [])
-        identical = all(r.get("identical") for r in resumes) \
-            and bool(resumes)
-        rejected = all(r.get("rollback_rejected") for r in resumes) \
-            and bool(resumes)
-        status = cell.get("status", "ok")
-        if status == "ok" and not (identical and rejected):
-            # CheckpointCell.status stays "ok" on a mismatch; the
-            # store must not accept such a cell into the baseline.
-            status = "divergent"
-        metrics: Dict[str, Metric] = {
-            "steps": cell.get("steps", 0),
-            "resume_identical": identical,
-            "rollbacks_rejected": rejected,
-            "resume_points": len(resumes),
-            "plain_wall_s": cell.get("plain_wall_s", 0.0),
-        }
-        for point in cell.get("overhead", []):
-            every = point["checkpoint_every"]
-            metrics[f"chain_bytes@{every}"] = point.get(
-                "chain_bytes", 0)
-            metrics[f"checkpoints@{every}"] = point.get(
-                "checkpoints", 0)
-            metrics[f"overhead_pct@{every}"] = point.get(
-                "overhead_pct", 0.0)
-        key = CellKey(kind="checkpoint", executor="", tier=-1,
-                      workload=cell["workload"],
-                      setting=cell.get("setting", ""),
-                      param=cell.get("param"))
-        records.append(Record(key=key, metrics=metrics, status=status,
-                              detail=cell.get("detail", "")))
-    return records
-
-
-def records_from_fleet_doc(doc: dict) -> List[Record]:
-    """Ingest a ``BENCH_fleet.json`` document.
-
-    One aggregate ``fleet`` cell (the campaign), plus one cell per
-    tenant.  Session counts, shed counts, scheduler counters,
-    tick-latency percentiles and the zero-lost / migrated booleans are
-    deterministic (the supervisor is virtual-time and seeded); total
-    wall time, ``sec_per_session`` and the wall-scaled latency
-    percentiles are host clock.  Throughput is stored as
-    ``sec_per_session`` (lower-is-better), not sessions/sec.
-    """
-    counters = doc.get("counters", {})
-    latency = doc.get("latency_ticks", {})
-    latency_s = doc.get("latency_s", {})
-    stats = doc.get("stats", {})
-    setting = f"d{doc.get('drones', 0)}"
-    status = doc.get("status", "ok")
-    key = CellKey(kind="fleet", executor="", tier=-1,
-                  workload="campaign", setting=setting,
-                  param=doc.get("sessions"))
-    metrics: Dict[str, Metric] = {
-        "zero_lost": bool(doc.get("zero_lost", False)),
-        "migrated": counters.get("migrations", 0) > 0,
-        "completed": counters.get("completed", 0),
-        "shed": counters.get("shed", 0),
-        "dispatches": counters.get("dispatches", 0),
-        "preemptions": counters.get("preemptions", 0),
-        "replacements": counters.get("replacements", 0),
-        "rollbacks_rejected": stats.get("rollbacks_rejected", 0),
-        "ticks": doc.get("ticks", 0),
-        "p50_ticks": latency.get("p50", 0.0),
-        "p99_ticks": latency.get("p99", 0.0),
-        "wall_s": doc.get("wall_s", 0.0),
-        "sec_per_session": doc.get("sec_per_session", 0.0),
-        "p50_s": latency_s.get("p50", 0.0),
-        "p99_s": latency_s.get("p99", 0.0),
-    }
-    records = [Record(key=key, metrics=metrics, status=status,
-                      detail=";".join(doc.get("corrupt", [])
-                                      + doc.get("lost", [])))]
-    for tenant, tstats in sorted(doc.get("tenants_stats", {}).items()):
-        tkey = CellKey(kind="fleet", executor="", tier=-1,
-                       workload="tenant", setting=tenant,
-                       param=doc.get("sessions"))
-        records.append(Record(key=tkey, metrics={
-            "attempts": tstats.get("attempts", 0),
-            "retries": tstats.get("retries", 0),
-            "fatal_errors": tstats.get("fatal_errors", 0),
-            "resumes": tstats.get("resumes", 0),
-            "rollbacks_rejected": tstats.get("rollbacks_rejected", 0),
-        }, status=status))
-    return records
-
-
-def records_from_static_doc(doc: dict) -> List[Record]:
-    """Ingest a ``BENCH_static.json`` document (annotation-full vs
-    annotation-light ablation).  Everything is deterministic — cycle
-    accounts come from the simulated cost model, guard-site counts from
-    the static analyzer — so every metric gates with a zero band.
-    ``overhead_light_pct`` (not the cut) is stored: the store is
-    uniformly lower-is-better."""
-    records = []
-    for row in doc.get("workloads", {}).values():
-        for cell in row.values():
-            key = CellKey(kind="static", executor="", tier=-1,
-                          workload=cell["workload"],
-                          setting=cell["setting"],
-                          param=cell.get("param"))
-            metrics: Dict[str, Metric] = {
-                "cycles_light": cell.get("cycles_light", 0.0),
-                "overhead_light_pct": cell.get("overhead_light_pct",
-                                               0.0),
-                "residual_guard_sites": cell.get("guard_sites_light",
-                                                 0),
-                "text_bytes_light": cell.get("text_bytes_light", 0),
-                "outputs_identical": bool(cell.get("outputs_identical",
-                                                   False)),
-                "verified_light": bool(cell.get("verified_light",
-                                                False)),
-            }
-            records.append(Record(key=key, metrics=metrics,
-                                  status=cell.get("status", "ok"),
-                                  detail=cell.get("detail", "")))
-    return records
-
-
-def records_from_pipeline_doc(doc: dict) -> List[Record]:
-    """Ingest a ``BENCH_pipeline.json`` document — one record per
-    matrix cell, keyed ``(pipeline, topology, mode-faults)``.
-
-    Link/hop/chunk counts, resume/retry/rejection counters and the
-    chain-verified / output-identical booleans are deterministic (pure
-    functions of the seed); ``wall_s``, ``records_per_s`` and
-    ``chunk_p99_s`` are host clock.  A cell that completed ``ok`` but
-    is not both chain-verified and byte-identical to the serial oracle
-    is downgraded to ``divergent`` so it never feeds a baseline —
-    mirroring the checkpoint ingester's stance that identity failures
-    are not acceptable observations."""
-    records = []
-    for cell in doc.get("cells", []):
-        status = cell.get("status", "ok")
-        if status == "ok" and not (cell.get("chain_verified")
-                                   and cell.get("output_identical")):
-            status = "divergent"
-        key = CellKey(kind="pipeline", executor="", tier=-1,
-                      workload=cell["topology"],
-                      setting=f"{cell['mode']}-{cell['faults']}",
-                      param=cell.get("chunks"))
-        metrics: Dict[str, Metric] = {
-            "chain_verified": bool(cell.get("chain_verified", False)),
-            "output_identical": bool(cell.get("output_identical",
-                                              False)),
-            "links": cell.get("links", 0),
-            "chunks": cell.get("chunks", 0),
-            "stages": cell.get("stages", 0),
-            "resumes": cell.get("resumes", 0),
-            "retries": cell.get("retries", 0),
-            "recoveries": cell.get("recoveries", 0),
-            "rollbacks_rejected": cell.get("rollbacks_rejected", 0),
-            "handoffs_rejected": cell.get("handoffs_rejected", 0),
-            "chain_attacks_rejected": cell.get("chain_attacks_rejected",
-                                               0),
-            "attacks_accepted": cell.get("attacks_accepted", 0),
-            "discard_reruns": cell.get("discard_reruns", 0),
-            "migrations": cell.get("migrations", 0),
-            "stalls": cell.get("stalls", 0),
-            "upstream_excess": cell.get("upstream_excess", 0),
-            "wall_s": cell.get("wall_s", 0.0),
-            "records_per_s": cell.get("records_per_s", 0.0),
-            "chunk_p99_s": cell.get("chunk_p99_s", 0.0),
-        }
-        records.append(Record(key=key, metrics=metrics, status=status,
-                              detail=cell.get("detail", "")))
-    return records
-
-
-#: Document schema -> ingest builder (the multi-executor VM wrapper
-#: shares the RunMatrix schema tag, handled inside the builder).
-_INGESTERS = {
-    "deflection-bench/1": records_from_vm_doc,
-    "deflection-provision/1": records_from_provision_doc,
-    "deflection-checkpoint-bench/1": records_from_checkpoint_doc,
-    "deflection-fleet/1": records_from_fleet_doc,
-    "deflection-static/1": records_from_static_doc,
-    "deflection-pipeline/1": records_from_pipeline_doc,
-}
-
-
 def records_from_doc(doc: dict, commit: str = "unknown",
-                     run_id: str = "", ts: Optional[float] = None,
-                     executor_label: Optional[str] = None
+                     run_id: str = "", ts: Optional[float] = None
                      ) -> List[Record]:
-    """Dispatch a BENCH_* document to its ingest builder and stamp the
-    run metadata onto every resulting record."""
-    schema = doc.get("schema")
-    ingest = _INGESTERS.get(schema)
-    if ingest is None:
-        raise StoreError(f"cannot ingest document schema {schema!r}")
-    if ingest is records_from_vm_doc:
-        records = records_from_vm_doc(doc, executor_label=executor_label)
-    else:
-        records = ingest(doc)
+    """Every cell of a bench document as a record, stamped with this
+    run's metadata."""
+    if doc.get("schema") != DOC_SCHEMA:
+        raise StoreError(f"cannot ingest document schema "
+                         f"{doc.get('schema')!r}, want {DOC_SCHEMA!r}")
+    try:
+        records = [Record.from_cell(c) for c in doc["cells"]]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise StoreError(f"malformed bench cell ({exc})") from exc
     return stamp_run(records, commit, run_id=run_id, ts=ts)
-
-
-def ingest_document(store: ResultsStore, doc: dict,
-                    commit: str = "unknown",
-                    executor_label: Optional[str] = None) -> int:
-    """Append every cell of ``doc`` to ``store``; returns the count."""
-    return store.append(records_from_doc(
-        doc, commit=commit, executor_label=executor_label))

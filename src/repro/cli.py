@@ -25,6 +25,8 @@ import json
 import sys
 from pathlib import Path
 
+from .bench.gates import WALL_BAND_PCT, WINDOW
+from .bench.store import KINDS
 from .bench.tables import format_table
 from .compiler import CodeGenerator, ObjectFile
 from .core import BootstrapEnclave
@@ -58,20 +60,7 @@ def _git_commit() -> str:
     return "unknown"
 
 
-def _sweep_records(args, doc=None, smoke_cells=None,
-                   executor_label=None):
-    """This sweep's cells as results-store records."""
-    from .bench.store import (
-        records_from_doc, records_from_smoke_cells, stamp_run,
-    )
-    commit = args.commit or _git_commit()
-    if smoke_cells is not None:
-        return stamp_run(records_from_smoke_cells(smoke_cells), commit)
-    return records_from_doc(doc, commit=commit,
-                            executor_label=executor_label)
-
-
-def _bench_store_hook(args, records) -> None:
+def _bench_store_hook(args, doc) -> None:
     """``--record``: append this sweep's cells to the store.
     ``--baseline``: print the delta report of these cells against the
     stored rolling baseline (informational — ``bench gate`` is the
@@ -79,17 +68,16 @@ def _bench_store_hook(args, records) -> None:
     if not (args.record or args.baseline):
         return
     from .bench import gates
-    from .bench.store import ResultsStore
+    from .bench.store import ResultsStore, records_from_doc
+    records = records_from_doc(doc, commit=args.commit or _git_commit())
     store = ResultsStore(args.store)
     if args.record:
         count = store.append(records)
         print(f"recorded {count} cells -> {store.path}")
     if args.baseline:
         history = store.load() if args.record \
-            else store.load() + list(records)
-        report = gates.evaluate(history, window=args.window,
-                                wall_band_pct=args.band)
-        print(report.render())
+            else store.load() + records
+        print(gates.evaluate(history).render())
 
 
 def cmd_bench_gate(args) -> int:
@@ -111,12 +99,10 @@ def cmd_bench_gate(args) -> int:
     if args.synthetic_regression:
         records = gates.inject_synthetic_regression(
             records, args.synthetic_regression)
-        print(f"[self-test] appended a synthetic run degrading every "
-              f"numeric metric by {args.synthetic_regression:g}%")
-    report = gates.evaluate(records, window=args.window,
-                            wall_band_pct=args.band,
-                            gate_wall=args.gate_wall,
-                            kinds=args.kind or None)
+        print(f"[self-test] appended a synthetic run moving every "
+              f"numeric metric {args.synthetic_regression:g}% in its "
+              f"worse direction")
+    report = gates.evaluate(records, kinds=args.kind or None)
     print(report.render(verbose=args.verbose))
     if report.regressions:
         cells = sorted({d.key.label() for d in report.regressions
@@ -296,8 +282,7 @@ def _bench_provision(args, workloads, settings) -> int:
         workloads, settings=settings, param=args.param,
         repeats=repeats, jobs=args.jobs, strict=False)
     doc = matrix.to_json()
-    if args.record or args.baseline:
-        _bench_store_hook(args, _sweep_records(args, doc))
+    _bench_store_hook(args, doc)
     if args.json:
         out = Path(args.out or "BENCH_provision.json")
         out.write_text(json.dumps(doc, indent=2) + "\n")
@@ -356,8 +341,7 @@ def _bench_static(args, workloads, settings) -> int:
                                   param=args.param, jobs=args.jobs,
                                   strict=False)
     doc = matrix.to_json()
-    if args.record or args.baseline:
-        _bench_store_hook(args, _sweep_records(args, doc))
+    _bench_store_hook(args, doc)
     if args.json:
         out = Path(args.out or "BENCH_static.json")
         out.write_text(json.dumps(doc, indent=2) + "\n")
@@ -408,8 +392,7 @@ def _bench_checkpoint(args, workloads, settings) -> int:
     matrix = CheckpointMatrix.collect(workloads, setting=settings[-1],
                                       param=args.param)
     doc = matrix.to_json()
-    if args.record or args.baseline:
-        _bench_store_hook(args, _sweep_records(args, doc))
+    _bench_store_hook(args, doc)
     if args.json:
         out = Path(args.out or "BENCH_checkpoint.json")
         out.write_text(json.dumps(doc, indent=2) + "\n")
@@ -468,8 +451,7 @@ def _bench_fleet(args) -> int:
     )
     params = smoke_params() if args.smoke else {}
     doc = run_fleet_bench(seed=args.seed, **params)
-    if args.record or args.baseline:
-        _bench_store_hook(args, _sweep_records(args, doc))
+    _bench_store_hook(args, doc)
     if args.json:
         out = Path(args.out or "BENCH_fleet.json")
         out.write_text(json.dumps(doc, indent=2) + "\n")
@@ -507,8 +489,7 @@ def _bench_pipeline(args) -> int:
     )
     params = smoke_params() if args.smoke else {}
     doc = run_pipeline_bench(seed=args.seed, **params)
-    if args.record or args.baseline:
-        _bench_store_hook(args, _sweep_records(args, doc))
+    _bench_store_hook(args, doc)
     if args.json:
         out = Path(args.out or "BENCH_pipeline.json")
         out.write_text(json.dumps(doc, indent=2) + "\n")
@@ -517,10 +498,11 @@ def _bench_pipeline(args) -> int:
     bad = [c for c in doc["cells"] if c["status"] != "ok"]
     if bad:
         print(f"FAILED cells ({len(bad)}): "
-              + ", ".join(f"{c['topology']}/{c['mode']}/{c['faults']}"
+              + ", ".join(f"{c['workload']}/{c['setting']}"
                           f"={c['status']}" for c in bad))
         return 1
-    accepted = sum(c["attacks_accepted"] for c in doc["cells"])
+    accepted = sum(c["metrics"]["attacks_accepted"]
+                   for c in doc["cells"])
     if accepted:
         print(f"ATTACKS ACCEPTED: {accepted} doctored handoffs passed "
               f"chain verification")
@@ -532,6 +514,7 @@ def _bench_pipeline(args) -> int:
 
 def cmd_bench(args) -> int:
     from .bench.harness import PAPER_SETTINGS, RunMatrix, run_workload
+    from .bench.store import DOC_SCHEMA
     from .core.bootstrap import PROVISION_CACHE
     from .vm.costmodel import CostModel
     from .workloads import get_workload
@@ -579,9 +562,9 @@ def cmd_bench(args) -> int:
                 provision_cache=use_cache,
                 chaos_seed=args.chaos,
                 warmup=not args.cold and args.chaos is None)
-        if args.record or args.baseline:
-            _bench_store_hook(args,
-                              _sweep_records(args, smoke_cells=cells))
+        _bench_store_hook(args, {
+            "schema": DOC_SCHEMA, "kind": "vm",
+            "cells": [result.cell() for result in cells.values()]})
         step, fast = cells["step"], cells["translate"]
         diverged = [
             f"{key}[{executor}]"
@@ -614,7 +597,6 @@ def cmd_bench(args) -> int:
     warmup = not args.cold
     matrices = {executor: RunMatrix.collect(
                     workloads, settings=settings,
-                    executor="step" if executor == "step" else "translate",
                     cost_model=CostModel.for_executor(executor),
                     param=args.param,
                     jobs=args.jobs,
@@ -669,11 +651,13 @@ def cmd_bench(args) -> int:
                 "per_workload_speedup": per_wl,
             }
         doc = {
-            "schema": "deflection-bench/1",
+            "schema": DOC_SCHEMA,
+            "kind": "vm",
             "parallelism": args.jobs,
             "steady_state": warmup,
-            "executors": {ex: m.to_json() for ex, m in matrices.items()},
+            "totals": {ex: m.totals() for ex, m in matrices.items()},
             "comparison": comparison,
+            "cells": [c for m in matrices.values() for c in m.cells()],
         }
     # Parent-process cache stats plus per-cell hit counts (with --jobs,
     # hits happen inside the pool workers and ride back on the cells).
@@ -692,11 +676,7 @@ def cmd_bench(args) -> int:
                               for r in row.values()),
         }
 
-    if args.record or args.baseline:
-        _bench_store_hook(args, _sweep_records(
-            args, doc,
-            executor_label=executors[0] if len(executors) == 1
-            else None))
+    _bench_store_hook(args, doc)
     if args.json:
         out = Path(args.out or "BENCH_vm.json")
         out.write_text(json.dumps(doc, indent=2) + "\n")
@@ -1037,13 +1017,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--commit", default=None,
                    help="commit id stamped on recorded cells "
                         "(default: `git rev-parse --short HEAD`)")
-    p.add_argument("--window", type=int, default=5,
-                   help="rolling-baseline window: median of the last "
-                        "N accepted runs per cell (default: 5)")
-    p.add_argument("--band", type=float, default=25.0,
-                   help="wall-clock noise band in percent; "
-                        "deterministic metrics always use a zero band "
-                        "(default: 25)")
     p.set_defaults(func=cmd_bench)
 
     bench_sub = p.add_subparsers(dest="bench_command", metavar="gate")
@@ -1055,30 +1028,22 @@ def build_parser() -> argparse.ArgumentParser:
                     "store: the latest observation of every "
                     "(executor, tier, workload, setting, param) cell "
                     "is classified improved/flat/regressed against "
-                    "the median of its last --window accepted runs. "
+                    f"the median of its last {WINDOW} accepted runs, "
+                    "in the direction each metric is tagged with. "
                     "Deterministic metrics (cycles, steps, AEX "
                     "counts, byte-identity) gate with a zero noise "
                     "band; wall-clock metrics are advisory within "
-                    "--band percent unless --gate-wall.")
+                    f"{WALL_BAND_PCT:g} percent.")
     g.add_argument("--store", default=DEFAULT_STORE,
                    help=f"results store path (default: {DEFAULT_STORE})")
-    g.add_argument("--window", type=int, default=5,
-                   help="rolling-baseline window (default: 5)")
-    g.add_argument("--band", type=float, default=25.0,
-                   help="wall-clock noise band in percent (default: 25)")
-    g.add_argument("--gate-wall", action="store_true",
-                   help="make wall-clock regressions beyond the band "
-                        "blocking instead of advisory")
-    g.add_argument("--kind", nargs="*", default=None,
-                   choices=["vm", "provision", "checkpoint", "fleet",
-                            "static", "pipeline"],
+    g.add_argument("--kind", nargs="*", default=None, choices=KINDS,
                    help="restrict the gate to these record kinds")
     g.add_argument("--synthetic-regression", type=float, default=None,
                    metavar="PCT",
-                   help="self-test: evaluate as if a new run degraded "
-                        "every numeric metric by PCT percent (the "
-                        "store file is not modified); the gate must "
-                        "fail for PCT beyond the band")
+                   help="self-test: evaluate as if a new run moved "
+                        "every numeric metric PCT percent in its worse "
+                        "direction (the store file is not modified); "
+                        "the gate must fail for any PCT > 0")
     g.add_argument("--verbose", action="store_true",
                    help="list flat/new cells too, not only "
                         "regressions and improvements")

@@ -60,7 +60,9 @@ def test_non_strict_matrix_keeps_sweeping_past_a_bad_cell():
     assert matrix.failures == ["numeric_sort/baseline",
                                "numeric_sort/P1"]
     doc = matrix.to_json()
-    cell = doc["workloads"]["numeric_sort"]["baseline"]
+    cell = doc["cells"][0]
+    assert (cell["workload"], cell["setting"]) == ("numeric_sort",
+                                                   "baseline")
     assert cell["status"] != "ok"
     assert cell["detail"]
     assert doc["totals"]["failed_cells"] == matrix.failures

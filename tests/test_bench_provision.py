@@ -29,17 +29,18 @@ def test_matrix_shape_and_document():
     matrix = ProvisionMatrix.collect(
         ["numeric_sort"], settings=("baseline", "P1"), repeats=1)
     doc = matrix.to_json()
-    assert doc["schema"] == "deflection-provision/1"
-    assert set(doc["workloads"]["numeric_sort"]) == {"baseline", "P1"}
+    assert (doc["schema"], doc["kind"]) == ("deflection-bench/2",
+                                            "provision")
+    assert [(c["workload"], c["setting"]) for c in doc["cells"]] == \
+        [("numeric_sort", "baseline"), ("numeric_sort", "P1")]
     totals = doc["totals"]
     assert totals["cells"] == 2
     assert totals["divergent_cells"] == []
     assert totals["failed_cells"] == []
     assert totals["cold_speedup"] > 0
     assert matrix.incomplete_cells == []
-    cell = doc["workloads"]["numeric_sort"]["P1"]
-    assert set(cell["legacy_stages_ms"]) == set(STAGES)
-    assert set(cell["new_stages_ms"]) == set(STAGES)
+    assert set(totals["legacy_stages_ms"]) == set(STAGES)
+    assert set(totals["new_stages_ms"]) == set(STAGES)
     # the sweep document must survive a JSON round trip
     assert json.loads(json.dumps(doc)) == doc
 
@@ -80,7 +81,8 @@ def test_cli_provision_smoke(tmp_path, capsys):
                  "--workloads", "numeric_sort",
                  "--settings", "baseline", "P1"]) == 0
     doc = json.loads(out.read_text())
-    assert doc["schema"] == "deflection-provision/1"
+    assert (doc["schema"], doc["kind"]) == ("deflection-bench/2",
+                                            "provision")
     assert doc["totals"]["divergent_cells"] == []
     captured = capsys.readouterr().out
     assert "aggregate cold speedup" in captured

@@ -1,14 +1,14 @@
 """Continuous results store + regression gates."""
 
+import functools
 import json
 
 import pytest
 
 from repro.bench import gates
 from repro.bench.store import (
-    CellKey, Record, ResultsStore, StoreError, records_from_checkpoint_doc,
-    records_from_doc, records_from_provision_doc, records_from_vm_doc,
-    stamp_run,
+    DOC_SCHEMA, KINDS, CellKey, Record, ResultsStore, StoreError, cell,
+    records_from_doc,
 )
 from repro.cli import main
 
@@ -20,28 +20,26 @@ def _key(**kw):
     return CellKey(**base)
 
 
-def _record(metrics, status="ok", run_id="r1", **kw):
-    return Record(key=_key(**kw), metrics=dict(metrics),
-                  status=status, commit="abc", run_id=run_id, ts=1.0)
-
-
-VM_CELL = {
-    "workload": "numeric_sort", "setting": "P1", "param": 40,
-    "steps": 1000, "cycles": 2000.5, "aex_events": 3,
-    "text_bytes": 512, "status": "ok", "detail": "",
-    "wall_s": 0.25, "ips": 4000.0, "overhead_pct": 7.5,
-    "provision_cache_hits": 0, "retries": 0, "recoveries": 0,
-}
+def _record(metrics, status="ok", run_id="r1", wall=(), higher=(),
+            **kw):
+    return Record(key=_key(**kw), metrics=dict(metrics), wall=wall,
+                  higher=higher, status=status, commit="abc",
+                  run_id=run_id, ts=1.0)
 
 
 # -- store round-trip -------------------------------------------------
 
 def test_record_line_round_trip():
-    rec = _record({"cycles": 2000.5, "identical": True})
+    rec = _record({"cycles": 2000.5, "identical": True,
+                   "rate": 3.0, "wall_s": 0.1},
+                  wall=("wall_s", "rate"), higher=("rate",))
     back = Record.from_line(rec.to_line())
     assert back.key == rec.key
-    assert back.metrics == {"cycles": 2000.5, "identical": True}
+    assert back.metrics == {"cycles": 2000.5, "identical": True,
+                            "rate": 3.0, "wall_s": 0.1}
     assert back.metrics["identical"] is True
+    assert back.wall == ("wall_s", "rate")
+    assert back.higher == ("rate",)
     assert back.accepted
 
 
@@ -71,69 +69,124 @@ def test_store_rejects_garbage_lines(tmp_path):
         ResultsStore(path).load()
 
 
-# -- ingest builders --------------------------------------------------
-
-def test_vm_doc_ingest_single_and_multi_executor():
-    single = {"schema": "deflection-bench/1", "executor": "translate",
-              "workloads": {"numeric_sort": {"P1": VM_CELL}}}
-    records = records_from_vm_doc(single, executor_label="translate-t1")
-    assert len(records) == 1
-    assert records[0].key.executor == "translate-t1"
-    assert records[0].key.tier == 1
-    assert records[0].metrics["cycles"] == 2000.5
-
-    multi = {"schema": "deflection-bench/1",
-             "executors": {ex: {"workloads":
-                                {"numeric_sort": {"P1": VM_CELL}}}
-                           for ex in ("step", "translate")}}
-    records = records_from_vm_doc(multi)
-    tiers = sorted(r.key.tier for r in records)
-    assert tiers == [0, 2]
+def _line(drop=(), **changes):
+    doc = json.loads(_record({"cycles": 1.0, "wall_s": 0.5},
+                             wall=("wall_s",)).to_line())
+    doc.update(changes)
+    for name in drop:
+        del doc[name]
+    return json.dumps(doc)
 
 
-def test_provision_doc_ingest_keys_and_acceptance():
-    cell = {"workload": "huffman", "setting": "P1-P6", "param": 40,
-            "text_bytes": 100, "instructions": 50,
-            "legacy_cold_ms": 3.0, "new_cold_ms": 1.0, "warm_ms": 0.1,
-            "identical": False, "status": "divergent",
-            "detail": "images differ"}
-    doc = {"schema": "deflection-provision/1",
-           "workloads": {"huffman": {"P1-P6": cell}}}
-    (rec,) = records_from_provision_doc(doc)
-    assert rec.key == CellKey("provision", "", -1, "huffman",
-                              "P1-P6", 40)
-    assert rec.metrics["identical"] is False
-    assert not rec.accepted    # divergent cells never seed baselines
+@pytest.mark.parametrize("line, match", [
+    (_line(schema="deflection-results/1"), "schema"),
+    (_line(drop=("wall", "higher")), "missing"),
+    (_line(wall=["wall_s", "p99_s"]), "p99_s"),
+    (_line(higher=["gone"]), "gone"),
+])
+def test_store_rejects_old_schema_and_bad_tags(line, match):
+    with pytest.raises(StoreError, match=match):
+        Record.from_line(line, lineno=7)
 
 
-def test_checkpoint_doc_ingest_downgrades_silent_mismatch():
-    cell = {"workload": "idea", "setting": "P1-P6", "param": 12,
-            "steps": 5000, "plain_wall_s": 0.5, "status": "ok",
-            "overhead": [{"checkpoint_every": 100, "wall_s": 0.9,
-                          "checkpoints": 50, "chain_bytes": 4096,
-                          "overhead_pct": 80.0, "identical": True}],
-            "resumes": [{"interrupt_step": 100, "resumed_at_step": 90,
-                         "chain_len": 2, "identical": False,
-                         "rollback_rejected": True}]}
-    doc = {"schema": "deflection-checkpoint-bench/1", "cells": [cell]}
-    (rec,) = records_from_checkpoint_doc(doc)
-    # CheckpointCell.status stays "ok" on a resume mismatch; the store
-    # must still refuse to accept it into the rolling baseline.
-    assert rec.status == "divergent"
+def test_cell_rejects_dangling_or_boolean_higher_tags():
+    with pytest.raises(StoreError, match="missing_s"):
+        cell("vm", "w", "P1", 1, {"wall_s": 1.0}, wall=("missing_s",))
+    with pytest.raises(StoreError, match="boolean"):
+        cell("vm", "w", "P1", 1, {"ok": True}, higher=("ok",))
+
+
+# -- producers: every kind emits tagged cells the store round-trips ----
+
+@functools.lru_cache(maxsize=None)
+def _producer_doc(kind):
+    """A tiny or smoke run of each ``repro bench`` producer."""
+    if kind == "vm":
+        from repro.bench.harness import RunMatrix
+        from repro.vm.costmodel import CostModel
+        return RunMatrix.collect(
+            ["numeric_sort"], settings=("baseline", "P1"), param=40,
+            cost_model=CostModel.for_executor("translate-t1")).to_json()
+    if kind == "provision":
+        from repro.bench.provision import ProvisionMatrix
+        return ProvisionMatrix.collect(["numeric_sort"],
+                                       settings=("P1",), param=40,
+                                       repeats=1).to_json()
+    if kind == "checkpoint":
+        from repro.bench.checkpointing import CheckpointMatrix
+        return CheckpointMatrix.collect(
+            ["numeric_sort"], param=20,
+            checkpoint_settings=(100,)).to_json()
+    if kind == "fleet":
+        from repro.bench.fleet import run_fleet_bench
+        return run_fleet_bench(seed=3, drones=2, sessions=6, tenants=2,
+                               long_every=3, kill_after_steps=500,
+                               max_queue=8, max_ticks=120)
+    if kind == "static":
+        from repro.bench.static import StaticMatrix
+        return StaticMatrix.collect(["numeric_sort"], settings=("P1",),
+                                    param=40).to_json()
+    from repro.bench.pipeline import run_pipeline_bench
+    return run_pipeline_bench(
+        seed=5, topologies=("filter-score-agg",), modes=("batch",),
+        fault_settings=("clean",), data_len=32)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_producer_cells_round_trip(kind):
+    doc = _producer_doc(kind)
+    assert (doc["schema"], doc["kind"]) == (DOC_SCHEMA, kind)
+    records = records_from_doc(doc, commit="c", run_id="r", ts=2.0)
+    assert len(records) == len(doc["cells"]) >= 1
+    for c, rec in zip(doc["cells"], records):
+        assert c["kind"] == kind and c["status"] == "ok"
+        assert set(c["wall"]) | set(c["higher"]) <= set(c["metrics"])
+        assert not any(isinstance(c["metrics"][name], bool)
+                       for name in c["higher"])
+        back = Record.from_line(rec.to_line())
+        assert back == rec
+        assert back.metrics == c["metrics"]
+        assert list(back.wall) == c["wall"]
+        assert list(back.higher) == c["higher"]
+    if kind == "vm":
+        assert {(r.key.executor, r.key.tier) for r in records} == \
+            {("translate-t1", 1)}
+
+
+def test_checkpoint_cell_with_resume_mismatch_is_divergent(monkeypatch):
+    from repro.bench import checkpointing
+    from repro.core.bootstrap import ProvisionCache
+    fingerprints = iter(range(1000))
+    monkeypatch.setattr(checkpointing, "outcome_fingerprint",
+                        lambda outcome: next(fingerprints))
+    result = checkpointing.measure_cell(
+        "numeric_sort", "P1-P6", ProvisionCache(), param=20,
+        checkpoint_settings=(100,))
+    # The producer, not the store, refuses the cell a baseline.
+    assert result.status == "divergent"
+    assert not result.ok
+    (rec,) = records_from_doc({"schema": DOC_SCHEMA,
+                               "cells": [result.cell()]})
     assert rec.metrics["resume_identical"] is False
-    assert rec.metrics["overhead_pct@100"] == 80.0
-    assert rec.metrics["chain_bytes@100"] == 4096
+    assert not rec.accepted
 
 
 def test_records_from_doc_dispatch_and_stamp():
-    doc = {"schema": "deflection-bench/1", "executor": "translate",
-           "workloads": {"numeric_sort": {"P1": VM_CELL}}}
+    doc = {"schema": DOC_SCHEMA, "kind": "vm",
+           "cells": [cell("vm", "numeric_sort", "P1", 40,
+                          {"cycles": 2000.5, "wall_s": 0.25},
+                          wall=("wall_s",), executor="translate",
+                          tier=2)]}
     records = records_from_doc(doc, commit="deadbeef", ts=123.0)
     assert records[0].commit == "deadbeef"
     assert records[0].ts == 123.0
     assert records[0].run_id.startswith("vm-deadbeef-")
+    assert records[0].key == _key()
+    assert records[0].wall == ("wall_s",)
     with pytest.raises(StoreError, match="cannot ingest"):
-        records_from_doc({"schema": "nope/9"})
+        records_from_doc({"schema": "deflection-bench/1", "cells": []})
+    with pytest.raises(StoreError, match="malformed"):
+        records_from_doc({"schema": DOC_SCHEMA, "cells": [{}]})
 
 
 # -- gate classification ----------------------------------------------
@@ -146,8 +199,10 @@ def test_rolling_baseline_is_median_of_window():
                                   window=5) == 2.0
 
 
-def _history(*cycle_values, metric="cycles", status="ok"):
-    return [_record({metric: v}, run_id=f"r{i}",
+def _history(*cycle_values, metric="cycles", status="ok", wall=(),
+             higher=()):
+    return [_record({metric: v}, run_id=f"r{i}", wall=wall,
+                    higher=higher,
                     status=status if i == len(cycle_values) - 1
                     else "ok")
             for i, v in enumerate(cycle_values)]
@@ -171,17 +226,39 @@ def test_deterministic_drift_has_zero_band():
 
 
 def test_wall_clock_band_is_advisory():
-    within = gates.evaluate(_history(1.0, 1.0, 1.2, metric="wall_s"))
+    wall = ("wall_s",)
+    within = gates.evaluate(_history(1.0, 1.0, 1.2, metric="wall_s",
+                                     wall=wall))
     assert within.deltas[0].classification == "flat"
-    beyond = gates.evaluate(_history(1.0, 1.0, 1.5, metric="wall_s"))
+    beyond = gates.evaluate(_history(1.0, 1.0, 1.5, metric="wall_s",
+                                     wall=wall))
     (delta,) = beyond.deltas
     assert delta.classification == "regressed"
-    assert not delta.blocking           # advisory by default
+    assert not delta.blocking           # wall metrics never block
     assert beyond.exit_code == 0
     assert beyond.advisories == [delta]
-    gated = gates.evaluate(_history(1.0, 1.0, 1.5, metric="wall_s"),
-                           gate_wall=True)
-    assert gated.exit_code == 1
+    # The tag, not the name, makes a metric wall clock.
+    untagged = gates.evaluate(_history(1.0, 1.0, 1.2, metric="wall_s"))
+    assert untagged.exit_code == 1
+
+
+@pytest.mark.parametrize("wall, higher, baseline, current, expect", [
+    # lower-is-better: a negative overhead that shrinks toward zero
+    # is worse, one that grows more negative is better
+    (True, False, -6.98, -1.69, "regressed"),
+    (True, False, -1.69, -6.98, "improved"),
+    (False, False, -2.0, -1.0, "regressed"),
+    (False, False, -1.0, -2.0, "improved"),
+    # higher-is-better flips the sense, also below zero
+    (True, True, -2.0, -1.0, "improved"),
+    (False, True, -2.0, -3.0, "regressed"),
+])
+def test_negative_baseline_keeps_direction(wall, higher, baseline,
+                                           current, expect):
+    delta = gates.classify("overhead_pct@1600", current, baseline,
+                           wall=wall, higher=higher)
+    assert delta.classification == expect
+    assert (delta.delta_pct > 0) == (current > baseline)
 
 
 def test_boolean_metrics_gate_on_truth():
@@ -235,10 +312,24 @@ def test_synthetic_regression_fires_the_gate():
     assert flat.exit_code == 0
 
 
+@pytest.mark.parametrize("kind", KINDS)
+def test_synthetic_regression_regresses_every_metric(kind):
+    (rec,) = records_from_doc(
+        {"schema": DOC_SCHEMA, "cells": _producer_doc(kind)["cells"][:1]},
+        commit="c", run_id="r", ts=1.0)
+    report = gates.evaluate(gates.inject_synthetic_regression([rec], 50))
+    numeric = {name for name, value in rec.metrics.items()
+               if not isinstance(value, bool)}
+    assert {d.metric for d in report.deltas
+            if d.classification == "regressed"} >= numeric
+    assert report.exit_code == 1
+
+
 def test_kind_filter_restricts_evaluation():
     records = (_history(1.0, 2.0)
                + [_record({"warm_ms": 1.0}, kind="provision",
-                          executor="", tier=-1, run_id="p0")])
+                          executor="", tier=-1, run_id="p0",
+                          wall=("warm_ms",))])
     report = gates.evaluate(records, kinds=["provision"])
     assert len(report.deltas) == 1
     assert report.deltas[0].key.kind == "provision"

@@ -117,9 +117,10 @@ def test_bench_parallel_json(tmp_path, capsys):
     doc = json.loads(out.read_text())
     assert doc["parallelism"] == 2
     assert "provision_cache" in doc
-    cells = doc["workloads"]["numeric_sort"]
+    cells = {c["setting"]: c for c in doc["cells"]
+             if c["workload"] == "numeric_sort"}
     assert cells["P1"]["status"] == "ok"
-    assert cells["P1"]["overhead_pct"] > 0
+    assert cells["P1"]["metrics"]["overhead_pct"] > 0
     assert "jobs=2" in capsys.readouterr().out
 
 

@@ -274,15 +274,15 @@ def test_bench_doc_ingests_and_gates(tmp_path):
 
 def test_gate_inverts_records_per_s():
     # Throughput: a 40% drop is the regression, a 40% gain improves.
-    drop = classify("records_per_s", 60.0, 100.0)
-    gain = classify("records_per_s", 140.0, 100.0)
+    drop = classify("records_per_s", 60.0, 100.0, wall=True, higher=True)
+    gain = classify("records_per_s", 140.0, 100.0, wall=True, higher=True)
     assert drop.classification == "regressed"
     assert gain.classification == "improved"
     assert drop.delta_pct == pytest.approx(-40.0)
     # Advisory, like every wall metric.
     assert drop.gating is False
     # Latency keeps the normal sense and stays advisory.
-    slow = classify("chunk_p99_s", 1.4, 1.0)
+    slow = classify("chunk_p99_s", 1.4, 1.0, wall=True)
     assert slow.classification == "regressed"
     assert slow.gating is False
     # Deterministic pipeline counters gate hard at zero band.
