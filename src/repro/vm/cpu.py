@@ -39,7 +39,7 @@ from ..isa.instructions import Op
 from ..sgx.memory import AddressSpace
 from .costmodel import CostModel
 from .interrupts import AexSchedule, AexTimer
-from .translate import CHAIN_COLD_RUNS, CHAIN_DEPTH, COLD_RUNS, \
+from .translate import CHAIN_DEPTH, COLD_RUNS, MAX_TRACE_INSTRS, \
     BlockCache, materialize_flags, pack_flags
 
 _U64 = (1 << 64) - 1
@@ -412,11 +412,12 @@ class CPU:
         Looks up (translating on miss) the block at ``rip`` and runs its
         fused closure whenever the whole block fits before the next
         event — AEX countdown, ``slice_steps`` boundary, step limit.
-        When an event would land inside the block, or the leader is
-        untranslatable, it single-steps one instruction through the
-        oracle engine instead, which replays the exact architectural
-        semantics (SSA dumps land on mid-block state, faults carry the
-        faulting ``rip``, slices pause on exact boundaries).
+        A cold stub, or a compiled block an event would land inside,
+        is replayed for its length (one instruction for an
+        untranslatable leader) through the oracle engine instead,
+        which keeps the exact architectural semantics (SSA dumps land
+        on mid-block state, faults carry the faulting ``rip``, slices
+        pause on exact boundaries).
         """
         cache = self._blocks
         if cache is None:
@@ -442,16 +443,10 @@ class CPU:
         move_to_end = blocks.move_to_end
         translate = cache.translate
         chain_depth = CHAIN_DEPTH if cache.chain_on else 0
-        # Tier 2 fuses much earlier: the structural code cache makes
-        # codegen cost mostly string assembly, so the warm-up economics
-        # that justify COLD_RUNS interpreter replays for tier 1 do not
-        # hold.  Read through the module globals so tests pinning
-        # COLD_RUNS keep their meaning for both tiers.
-        if self.jit_eager:
-            cold_runs = 0
-        else:
-            cold_runs = min(COLD_RUNS, CHAIN_COLD_RUNS) \
-                if cache.chain_on else COLD_RUNS
+        cold_runs = 0 if self.jit_eager else COLD_RUNS
+        # A trace longer than the slice could never fit its headroom.
+        trace_cap = MAX_TRACE_INSTRS if slice_steps is None \
+            else min(MAX_TRACE_INSTRS, slice_steps)
         disp = 0
         try:
             while True:
@@ -467,10 +462,12 @@ class CPU:
                 else:
                     move_to_end(rip)   # LRU refresh
                 if block is not None:
-                    n = block.n
                     fn = block.fn
                     if fn is None and block.warm >= cold_runs:
-                        fn = cache.compile_block(block)
+                        fn = cache.compile_block(block, trace_cap)
+                    # Read after compile_block: promotion to a trace
+                    # changes the block's length.
+                    n = block.n
                     if fn is not None:
                         # Headroom: instructions this invocation (the
                         # block plus any chained successors) may retire
@@ -531,17 +528,17 @@ class CPU:
                             fb = 0
                             continue
                         # Event horizon inside the block (AEX, slice or
-                        # step-limit boundary): single-step through it.
+                        # step-limit boundary): replay it like a stub.
                     else:
-                        # Cold stub: replay the whole block through the
-                        # oracle, clamped to the slice boundary; the
-                        # oracle fires AEXes and faults architecturally
-                        # at any point inside it.
                         block.warm += 1
-                        chunk = n
-                        if slice_limit is not None \
-                                and steps + chunk > slice_limit:
-                            chunk = slice_limit - steps
+                    # Replay the whole block through the oracle,
+                    # clamped to the slice boundary; the oracle fires
+                    # AEXes and faults architecturally at any point
+                    # inside it.
+                    chunk = n
+                    if slice_limit is not None \
+                            and steps + chunk > slice_limit:
+                        chunk = slice_limit - steps
                 # Untranslatable leader, cold stub, or an event landing
                 # inside the block: replay ``chunk`` instructions
                 # through the single-step oracle.

@@ -27,9 +27,21 @@ specialized Python closure:
   count of retired instructions, so execution resumes through a freshly
   translated block.
 
-On top of the tier-1 translator, tier 2 (``CostModel.jit_chain``, the
-default) removes the remaining *per-block* dispatch tax:
+Every leader is first decoded as one basic block (a *stub*) that the
+dispatch loop replays through the single-step oracle until it has been
+visited :data:`COLD_RUNS` times; only then is it compiled.  On top of
+the tier-1 translator, tier 2 (``CostModel.jit_chain``, the default)
+removes the remaining *per-block* dispatch tax:
 
+* **lazy traces** — a stub turning hot is promoted to a *trace* before
+  codegen: decoding restarts at the leader and follows direct JMPs,
+  conditional fall-throughs and direct calls (with a compile-time
+  return-address stack), up to :data:`MAX_TRACE_INSTRS` or the run's
+  ``slice_steps``, whichever is smaller, and stopping at any leader
+  that is already compiled (the exit chains to it).  The block keeps
+  its leader and cache slot and re-indexes the pages it now spans, so
+  cold code never pays trace decode and no trace is longer than a
+  slice can run;
 * **superblock chaining** — a block whose terminator targets a fixed
   address carries a *chain cell* ``[fn, n]`` per exit edge; once both
   blocks are compiled the cell is patched with the successor's closure
@@ -99,32 +111,26 @@ _STRUCT_Q = struct.Struct("<Q")
 #: hosts keep the explicit ``struct`` path.
 _LITTLE = sys.byteorder == "little"
 
-#: Translation stops after this many instructions even without a
-#: terminator (bounds both codegen time and the AEX fast-path window:
-#: the translating executor only runs a block when the countdown
-#: exceeds its length).
+#: A stub (one basic block) stops after this many instructions even
+#: without a terminator (bounds both codegen time and the AEX
+#: fast-path window: the translating executor only runs a block when
+#: the countdown exceeds its length).
 MAX_BLOCK_INSTRS = 64
 
-#: Tier-2 traces may grow past the tier-1 cap: tail duplication fuses
+#: Tier-2 traces may grow past the stub cap: tail duplication fuses
 #: through mid-trace branches, so the loop backedge that lets
 #: ``_compile`` close a native ``while`` often sits well beyond 64
 #: instructions under annotation-heavy settings.  Still bounded so a
-#: pathological straight-line region cannot make codegen quadratic.
+#: pathological straight-line region cannot make codegen quadratic;
+#: a run bounded by ``slice_steps`` caps its traces at the slice.
 MAX_TRACE_INSTRS = 256
 
 #: Stub visits replayed through the single-step oracle before a block
-#: is considered hot and fused (``Block.warm`` counts them).  Codegen
+#: is considered hot and fused (``Block.warm`` counts them); the same
+#: threshold for both tiers.  Codegen (and, for tier 2, trace decode)
 #: costs ~100x one oracle replay, so straight-through init code and
 #: rarely-taken paths are never compiled.
 COLD_RUNS = 12
-
-#: Tier-2 warm-up threshold.  The structural code cache makes chained
-#: codegen mostly string assembly (the ``compile`` step is usually a
-#: cache hit), so tier 2 fuses much earlier than tier 1 — but not on
-#: the very first visit, which would pay source generation for every
-#: one-shot init block.  Tests that pin ``COLD_RUNS`` to 0 get 0 for
-#: both tiers (the dispatch loop takes the min).
-CHAIN_COLD_RUNS = 6
 
 #: Maximum direct chain hops per dispatch entry.  Each hop is one Python
 #: stack frame (self-loops excepted — they compile to a loop), so this
@@ -405,28 +411,31 @@ def _reg_counts(items):
 
 
 class Block:
-    """One superblock: decoded immediately, compiled only when hot.
+    """One leader's code: decoded as a basic-block stub, compiled only
+    when hot.
 
     The first :data:`COLD_RUNS` visits execute the block as a *stub*
     (``fn is None``): the dispatch loop replays it through the
     single-step oracle and bumps :attr:`warm`.  The next visit pays the
-    codegen (``BlockCache.compile_block``).  This keeps Python
+    codegen (``BlockCache.compile_block``), which under tier 2 first
+    promotes the stub to a trace — same leader, same cache slot, new
+    items and page index.  This keeps trace decode and Python
     ``compile()`` cost off straight-through init code — only leaders
     re-reached enough times (loops, called functions) are fused."""
 
     __slots__ = ("start", "lo", "end", "n", "rips", "items", "warm",
                  "fn", "src", "pages", "in_cells", "kill_clean")
 
-    def __init__(self, start, end, rips, items, lo=None):
+    def __init__(self, start):
         self.start = start
-        #: Bounding address range of every byte the block decodes from.
-        #: For a plain block ``lo == start``; a trace that followed a
+        #: Bounding address range of every byte the block decodes from
+        #: (set with the items by ``BlockCache._install``).  For a
+        #: basic block ``lo == start``; a trace that followed a
         #: backward JMP can span bytes *below* its leader.
-        self.lo = start if lo is None else lo
-        self.end = end
-        self.n = len(rips)
-        self.rips = rips
-        self.items = items
+        self.lo = self.end = start
+        self.n = 0
+        self.rips = []
+        self.items = None
         self.warm = 0
         self.fn = None
         self.src = None
@@ -501,6 +510,8 @@ class BlockCache:
         #: Hot counters bumped by generated code: [ic hits, chain hops].
         self.cstat = [0, 0]
         self.compiles = 0
+        #: Promotions whose trace extended past the basic-block stub.
+        self.traces = 0
         #: Blocks whose generated source hit the process-wide template
         #: code cache (no ``builtins.compile`` paid).
         self.template_hits = 0
@@ -532,6 +543,7 @@ class BlockCache:
         return {
             "blocks": len(self.blocks),
             "compiled": self.compiles,
+            "traces": self.traces,
             "template_hits": self.template_hits,
             "dispatch_calls": self.disp_calls,
             "chain_links": self.links,
@@ -690,27 +702,48 @@ class BlockCache:
                 self.links += 1
 
     def translate(self, rip):
-        """Decode the superblock whose leader is ``rip`` into a stub;
+        """Decode the basic block whose leader is ``rip`` into a stub;
         None if the leader itself is undecodable or non-executable (the
         dispatch loop then single-steps so the fault surfaces with
         legacy semantics).
 
-        Tier 2 builds *traces* with tail duplication: decoding follows
-        direct unconditional JMPs (the JMP stays in the item list — it
-        retires and is charged, but transfers no control) and the
-        fall-through edge of conditional branches (the taken edge
-        becomes a chained side exit), so a MiniC ``while`` loop — body
-        with internal ifs, falling into a ``JMP`` back to a conditional
-        header — becomes one block whose backedge targets its own
-        leader and compiles to a native loop instead of a chain of
-        closures per iteration.  Extension stops at the instruction
-        cap, at any rip already in the trace (the branch then stays a
-        terminator; a backedge to the leader itself is the loop case
-        ``_compile`` recognizes), and at undecodable or non-executable
-        targets."""
-        space = self.cpu.space
-        if not space.in_enclave(rip):
+        Both tiers decode the same stub: at most
+        :data:`MAX_BLOCK_INSTRS` instructions, stopping at the first
+        terminator.  Most leaders never turn hot, so the tier-2 trace
+        is only formed when :meth:`compile_block` promotes the stub."""
+        if not self.cpu.space.in_enclave(rip):
             return None
+        items = self._decode(rip, MAX_BLOCK_INSTRS, False)
+        if not items:
+            return None
+        block = Block(rip)
+        self._install(block, items)
+        blocks = self.blocks
+        blocks[rip] = block
+        while len(blocks) > self.capacity:
+            _, old = blocks.popitem(last=False)
+            self._drop(old)
+            self.evictions += 1
+        return block
+
+    def _decode(self, rip, cap, trace):
+        """Decode at most ``cap`` ``(addr, instr, length)`` items from
+        ``rip``; a basic block unless ``trace`` is set.
+
+        Traces use tail duplication: decoding follows direct
+        unconditional JMPs (the JMP stays in the item list — it retires
+        and is charged, but transfers no control) and the fall-through
+        edge of conditional branches (the taken edge becomes a chained
+        side exit), so a MiniC ``while`` loop — body with internal ifs,
+        falling into a ``JMP`` back to a conditional header — becomes
+        one block whose backedge targets its own leader and compiles to
+        a native loop instead of a chain of closures per iteration.
+        Extension stops at the instruction cap, at any rip already in
+        the trace (the branch then stays a terminator; a backedge to
+        the leader itself is the loop case ``_compile`` recognizes),
+        at a leader that is already compiled (the exit chains to it),
+        and at undecodable or non-executable targets."""
+        space = self.cpu.space
         base = space.enclave_base
         view = space.enclave_view()
         items = []
@@ -723,7 +756,6 @@ class BlockCache:
         # verified at run time (the RET item compiles to a guard on the
         # popped value), so a retargeted stack bails out correctly.
         ras = []
-        cap = MAX_TRACE_INSTRS if self.chain_on else MAX_BLOCK_INSTRS
         while True:
             try:
                 decoded = decode_block(view, addr - base,
@@ -743,12 +775,10 @@ class BlockCache:
                 items.append((addr, instr, length))
                 seen.add(addr)
                 addr += length
-            if not clean or not items:
+            if not clean or not items or not trace or len(items) >= cap:
                 break
             la, li, ll = items[-1]
             top = li.op
-            if not self.chain_on or len(items) >= cap:
-                break
             if top == Op.JMP:
                 nxt = (la + ll + li.operands[0]) & _U64
             elif top in _CMP_PRED:
@@ -767,30 +797,49 @@ class BlockCache:
                 break
             if nxt in seen or not space.in_enclave(nxt):
                 break
+            # Chain into code that is already compiled rather than
+            # duplicate it: under lazy promotion a loop's body leader
+            # usually turns hot before its entry does.
+            known = self.blocks.get(nxt)
+            if known is not None and known.fn is not None:
+                break
             addr = nxt
-        if not items:
-            return None
-        lo = min(a for a, _, _ in items)
-        end = max(a + ln for a, _, ln in items)
-        block = Block(rip, end, [a for a, _, _ in items], items, lo=lo)
-        pages = {a >> 12 for a, _, _ in items}
-        pages.update((a + ln - 1) >> 12 for a, _, ln in items)
-        block.pages = tuple(sorted(pages))
-        blocks = self.blocks
-        blocks[rip] = block
+        return items
+
+    def _install(self, block, items) -> None:
+        """Give ``block`` the decoded ``items`` and (re-)index the
+        pages they span, so a store into any of them drops it."""
         by_page = self.by_page
         for pg in block.pages:
+            by_page[pg].remove(block)
+            if not by_page[pg]:
+                del by_page[pg]
+        block.items = items
+        block.rips = [a for a, _, _ in items]
+        block.n = len(items)
+        block.lo = min(block.rips)
+        block.end = max(a + ln for a, _, ln in items)
+        pages = {a >> 12 for a in block.rips}
+        pages.update((a + ln - 1) >> 12 for a, _, ln in items)
+        block.pages = tuple(sorted(pages))
+        for pg in block.pages:
             by_page.setdefault(pg, []).append(block)
-        while len(blocks) > self.capacity:
-            _, old = blocks.popitem(last=False)
-            self._drop(old)
-            self.evictions += 1
-        return block
 
     # -- code generation ---------------------------------------------------
 
-    def compile_block(self, block):
-        """Generate and install the fused closure for a warm stub."""
+    def compile_block(self, block, cap=MAX_TRACE_INSTRS):
+        """Generate and install the fused closure for a warm stub.
+
+        Tier 2 first promotes the stub to a trace of at most ``cap``
+        instructions (the dispatch loop passes the slice length when
+        one bounds the run: a longer trace could never fit its
+        headroom).  A trace that extends past the stub replaces its
+        items and page index; the leader and the cache slot stay."""
+        if self.chain_on and cap > block.n:
+            items = self._decode(block.start, cap, True)
+            if len(items) > block.n:
+                self._install(block, items)
+                self.traces += 1
         fn, edges = self._compile(block.start, block.items, block)
         block.fn = fn
         block.items = None
@@ -1631,8 +1680,8 @@ class BlockCache:
                 target = (rip + length + ops[0]) & M
                 if not last and items[k + 1][0] == target:
                     # Mid-trace JMP: the next item *is* the target
-                    # (translate() fused through it) — the jump retires
-                    # and is charged but transfers no control.
+                    # (trace formation fused through it) — the jump
+                    # retires and is charged but transfers no control.
                     pass
                 elif is_loop and last and target == start:
                     flush_cyc()
@@ -1713,10 +1762,10 @@ class BlockCache:
                     emit_exit(next_rip)
             elif op == Op.CALL or op == Op.CALL_R:
                 cyc(cost)
-                # translate() walked through this direct CALL into the
-                # callee: the next item *is* the target, so the push
-                # retires here and control simply falls through — no
-                # transition.
+                # Trace formation walked through this direct CALL into
+                # the callee: the next item *is* the target, so the
+                # push retires here and control simply falls through —
+                # no transition.
                 fused = (chain_on and op == Op.CALL and not last
                          and items[k + 1][0]
                          == (rip + length + ops[0]) & M)
@@ -1748,7 +1797,7 @@ class BlockCache:
                     emit_indirect(f"{L(ops[0])} & {MM}", guarded=True)
             elif op == Op.RET:
                 cyc(cost)
-                # Mid-trace RET: translate() predicted the return
+                # Mid-trace RET: trace formation predicted the return
                 # address with its compile-time return-address stack
                 # and kept tracing at the prediction (the next item).
                 # Verify the popped value against it and fall through
