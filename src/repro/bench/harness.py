@@ -122,13 +122,12 @@ class BenchResult:
 
 def engine(cost_model: CostModel) -> Tuple[str, int]:
     """The bench executor label and JIT tier a cost model runs: the
-    step oracle (tier 0), the unchained tier-1 translator
-    (``translate-t1``) or the chained tier-2 translator."""
+    step oracle (tier 0) or the translator (tier 2; tier 1 was the
+    deleted unchained translator, so results-history keys stay
+    stable)."""
     if cost_model.executor == "step":
         return "step", 0
-    if cost_model.jit_chain:
-        return "translate", 2
-    return "translate-t1", 1
+    return "translate", 2
 
 
 @functools.lru_cache(maxsize=256)
@@ -252,10 +251,10 @@ def run_workload(workload: Union[str, Workload], setting: str,
     edges and inline caches), the enclave image is restored bit-exact,
     and the timed run repeats the identical execution on the warm CPU.
     Applied uniformly to every executor — the step engine gains
-    nothing, the tier-1 translator recoups its small compile cost, the
-    tier-2 translator recoups chaining warm-up — so cross-executor
-    ratios compare pure execution.  The two runs are bit-identical
-    (same steps, cycles, AEX arrivals); ignored under ``chaos_seed``.
+    nothing, the translator recoups its compile and chaining warm-up —
+    so cross-executor ratios compare pure execution.  The two runs are
+    bit-identical (same steps, cycles, AEX arrivals); ignored under
+    ``chaos_seed``.
 
     ``chaos_seed`` runs the cell under deterministic fault injection
     (see :mod:`repro.service.faults`): deliveries get corrupted, ECalls
@@ -619,7 +618,7 @@ class RunMatrix(dict):
                              "chain_hops", "ic_hits", "ic_misses",
                              "ic_fills", "invalidated_blocks",
                              "severed_edges", "evicted_blocks",
-                             "elided_flag_writes", "hoisted_regs")}
+                             "hoisted_regs")}
         steps = sum(c.get("steps", 0) for c in cells)
         disp = total["dispatch_calls"]
         total["mean_instrs_per_dispatch"] = \

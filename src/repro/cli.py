@@ -551,14 +551,13 @@ def cmd_bench(args) -> int:
         name = workloads[0]
         setting = settings[-1]
         cells = {}
-        # Three engines: the oracle, the unchained tier-1 translator,
-        # and the chained tier-2 translator — one cell each, diffed
-        # bit-exact, so CI catches a chaining divergence in seconds.
-        for executor in ("step", "translate-t1", "translate"):
+        # The oracle and the translator — one cell each, diffed
+        # bit-exact, so CI catches a JIT divergence in seconds.
+        for executor in ("step", "translate"):
             cells[executor] = run_workload(
                 name, setting, args.param,
                 aex_schedule=AexSchedule(400_000),
-                cost_model=CostModel.for_executor(executor),
+                cost_model=CostModel(executor=executor),
                 provision_cache=use_cache,
                 chaos_seed=args.chaos,
                 warmup=not args.cold and args.chaos is None)
@@ -567,11 +566,9 @@ def cmd_bench(args) -> int:
             "cells": [result.cell() for result in cells.values()]})
         step, fast = cells["step"], cells["translate"]
         diverged = [
-            f"{key}[{executor}]"
-            for executor in ("translate-t1", "translate")
-            for key in ("steps", "cycles", "aex_events", "reports",
-                        "status")
-            if getattr(step, key) != getattr(cells[executor], key)]
+            key for key in ("steps", "cycles", "aex_events", "reports",
+                            "status")
+            if getattr(step, key) != getattr(fast, key)]
         print(f"smoke {name}/{setting}: "
               f"step={step.steps:,} steps / {step.cycles:,.0f} cycles, "
               f"translate={fast.steps:,} steps / "
@@ -579,25 +576,19 @@ def cmd_bench(args) -> int:
         if diverged:
             print(f"DIVERGENCE: {', '.join(diverged)}")
             return 1
-        print(f"cycle accounts identical across 3 engines "
-              f"(speedup {step.wall_s / fast.wall_s:.2f}x, "
-              f"tier2 vs tier1 "
-              f"{cells['translate-t1'].wall_s / fast.wall_s:.2f}x)")
+        print(f"cycle accounts identical "
+              f"(speedup {step.wall_s / fast.wall_s:.2f}x)")
         if args.jobs > 1:
             return _smoke_parallel_equality(name, settings, args.param,
                                             args.jobs)
         return 0
 
-    if args.executor == "both":
-        executors = ["step", "translate"]
-    elif args.executor == "all":
-        executors = ["step", "translate-t1", "translate"]
-    else:
-        executors = [args.executor]
+    executors = ["step", "translate"] if args.executor == "both" \
+        else [args.executor]
     warmup = not args.cold
     matrices = {executor: RunMatrix.collect(
                     workloads, settings=settings,
-                    cost_model=CostModel.for_executor(executor),
+                    cost_model=CostModel(executor=executor),
                     param=args.param,
                     jobs=args.jobs,
                     strict=False,
@@ -610,21 +601,14 @@ def cmd_bench(args) -> int:
     if len(matrices) == 1:
         doc = matrices[executors[0]].to_json()
     else:
-        # Every non-oracle executor diffs bit-exact against the step
-        # oracle; speedups quote the tier-2 translator.
+        # The translator diffs bit-exact against the step oracle.
         oracle, fast = matrices["step"], matrices["translate"]
-        for ex, m in matrices.items():
-            if ex == "step":
-                continue
-            for name in workloads:
-                for setting in settings:
-                    a, b = oracle[name][setting], m[name][setting]
-                    if (a.steps, a.cycles, a.aex_events) != \
-                            (b.steps, b.cycles, b.aex_events):
-                        cell = f"{name}/{setting}"
-                        if ex != "translate":
-                            cell += f" [{ex}]"
-                        divergent.append(cell)
+        for name in workloads:
+            for setting in settings:
+                a, b = oracle[name][setting], fast[name][setting]
+                if (a.steps, a.cycles, a.aex_events) != \
+                        (b.steps, b.cycles, b.aex_events):
+                    divergent.append(f"{name}/{setting}")
         speedup = {}
         for name in workloads:
             wall_o = sum(r.wall_s for r in oracle[name].values())
@@ -636,20 +620,6 @@ def cmd_bench(args) -> int:
             "per_workload_speedup": speedup,
             "divergent_cells": divergent,
         }
-        if "translate-t1" in matrices:
-            # Attribute the win per tier: chained tier 2 over the
-            # block-at-a-time tier-1 translator.
-            t1 = matrices["translate-t1"]
-            per_wl = {}
-            for name in workloads:
-                w1 = sum(r.wall_s for r in t1[name].values())
-                w2 = sum(r.wall_s for r in fast[name].values())
-                per_wl[name] = round(w1 / w2, 2) if w2 else 0.0
-            comparison["tier2_vs_tier1"] = {
-                "aggregate_speedup": round(
-                    t1.total_wall_s / fast.total_wall_s, 2),
-                "per_workload_speedup": per_wl,
-            }
         doc = {
             "schema": DOC_SCHEMA,
             "kind": "vm",
@@ -695,10 +665,6 @@ def cmd_bench(args) -> int:
     if len(matrices) > 1:
         print(f"\naggregate speedup (step wall / translate wall): "
               f"{doc['comparison']['aggregate_speedup']}x")
-        tier = doc["comparison"].get("tier2_vs_tier1")
-        if tier:
-            print(f"tier-2 chained vs tier-1 translator: "
-                  f"{tier['aggregate_speedup']}x")
         if divergent:
             print(f"DIVERGENCE in {len(divergent)} cells: "
                   f"{', '.join(divergent)}")
@@ -916,11 +882,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="policy settings (default: Table II columns)")
     p.add_argument("--param", type=int, default=None)
     p.add_argument("--executor",
-                   choices=["translate", "step", "both",
-                            "translate-t1", "all"], default="both",
-                   help="engine(s) to sweep: 'both' = step + tier-2 "
-                        "translator, 'all' adds the unchained tier-1 "
-                        "translator so the speedup attributes per tier")
+                   choices=["translate", "step", "both"], default="both",
+                   help="engine(s) to sweep: 'both' = step oracle + "
+                        "translator")
     p.add_argument("--cold", action="store_true",
                    help="skip the per-cell warm-up run: report "
                         "first-run walls (compile + cold dispatch "

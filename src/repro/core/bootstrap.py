@@ -349,16 +349,12 @@ class BootstrapEnclave:
             cpu = self._cpu0
             cpu.reset_for_run(**kw)
         else:
-            fk = frozenset(self.loaded.code_base + off for off in
-                           self.verified.flag_kill_offsets) \
-                if self.verified is not None else None
             cpu = CPU(self.enclave.space, self.loaded.entry_addr,
                       cost_model=cost_model,
                       ssa_addr=layout.ssa_addr_of(tid),
                       hot_range=(layout.crit_lo, layout.crit_hi),
                       branch_targets=frozenset(
-                          self.loaded.branch_target_addrs),
-                      flag_kill=fk, **kw)
+                          self.loaded.branch_target_addrs), **kw)
             if reuse and tid == 0:
                 self._cpu0 = cpu
         if self.policies.mt_safe:

@@ -33,7 +33,7 @@ by the immediate rewriter.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from ..errors import VerificationError
 from ..isa.instructions import Op
@@ -45,7 +45,6 @@ from ..policy.templates import (
     indirect_branch_pattern, p6_guard_pattern, rsp_guard_pattern,
     shadow_epilogue_pattern, shadow_prologue_pattern, store_guard_pattern,
 )
-from ..vm.flowinfo import flag_liveness
 from .proofcheck import (
     PROOF_CFI, PROOF_CONST, PROOF_RSP_STEP, PROOF_STACK, ProofChecker,
 )
@@ -72,14 +71,6 @@ class VerifiedBinary:
     #: Excluded from equality — evidence comparisons are about verdicts.
     code: Optional[DisassembledCode] = field(default=None, compare=False,
                                              repr=False)
-    #: Text offsets whose incoming flag state is provably dead (see
-    #: :func:`~repro.vm.flowinfo.flag_liveness`).  Computed once on the
-    #: verified stream; the tier-2 translator uses it as a whole-program
-    #: veto when eliding flag materialization across chain edges.
-    #: Rewriting only patches MOV_RI immediates (flag-neutral), so the
-    #: set stays valid for the rewritten image.
-    flag_kill_offsets: FrozenSet[int] = field(default=frozenset(),
-                                              compare=False, repr=False)
     #: Accepted static-proof log: ``(site_off, kind, def_off)`` per
     #: elided guard, re-derived from the delivered bytes (empty for
     #: annotation-full binaries).  Part of the evidence verdict.
@@ -418,8 +409,6 @@ class PolicyVerifier:
         self._check_control_flow(code, entry, branch_targets, interior,
                                  anchors, p6_guards, ann_at, trap_pads,
                                  result)
-        if code.lengths:   # descent metadata present (decode-once path)
-            result.flag_kill_offsets = flag_liveness(code)
         return result
 
     # -- helpers --------------------------------------------------------------

@@ -217,30 +217,6 @@ NO_FALLTHROUGH_OPS = frozenset({Op.JMP, Op.JMP_R, Op.RET, Op.HLT, Op.TRAP})
 BLOCK_TERMINATORS = NO_FALLTHROUGH_OPS | COND_JUMPS | \
     frozenset({Op.CALL, Op.CALL_R, Op.SVC})
 
-#: Flag-defining opcodes — the only writers of the three architectural
-#: condition booleans (``f_eq``/``f_lt_s``/``f_lt_u``).
-FLAG_SETTER_OPS = frozenset({Op.CMP_RR, Op.CMP_RI, Op.TEST_RR})
-
-#: Flag-observing opcodes (readers).  HLT/SVC/AEX also *expose* flags by
-#: materializing them into architectural state, but those escape points
-#: are modelled separately (they are not FLAG_NEUTRAL either).
-FLAG_OBSERVER_OPS = COND_JUMPS
-
-#: Opcodes that neither read nor write flags, cannot fault and cannot
-#: escape the VM (no memory access, no control transfer, no service
-#: call).  Across a run of these, a pending flag state can be elided or
-#: deferred: no architectural observation point — fault frame, SSA dump,
-#: SVC handler, run exit — can fire in between.  Shared by the RDD
-#: liveness pass and the tier-2 translator so both sides of the
-#: verifier/VM contract classify identically.
-FLAG_NEUTRAL_OPS = frozenset({
-    Op.NOP, Op.MOV_RR, Op.MOV_RI, Op.LEA, Op.NEG, Op.NOT,
-    Op.ADD_RR, Op.SUB_RR, Op.IMUL_RR, Op.AND_RR, Op.OR_RR, Op.XOR_RR,
-    Op.SHL_RR, Op.SHR_RR, Op.SAR_RR,
-    Op.ADD_RI, Op.SUB_RI, Op.IMUL_RI, Op.AND_RI, Op.OR_RI, Op.XOR_RI,
-    Op.SHL_RI, Op.SHR_RI, Op.SAR_RI,
-})
-
 #: ALU opcodes whose first operand is a written destination register.
 _REG_DST_OPS = frozenset({
     Op.MOV_RR, Op.MOV_RI, Op.MOV_RM, Op.LEA, Op.LDB,

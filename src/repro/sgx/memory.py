@@ -43,7 +43,7 @@ class AddressSpace:
         self.enclave_end = enclave_base + enclave_size
         self._mem = bytearray(enclave_size)
         self._perms: List[int] = [0] * (enclave_size >> PAGE_SHIFT)
-        #: Per-page fast-access masks consumed by the tier-2 translator:
+        #: Per-page fast-access masks consumed by the translator:
         #: ``_rpage[i]`` is 1 iff page *i* is readable, ``_wpage[i]`` iff
         #: it is writable *and* outside the watched code range (so a
         #: fast-path store can skip the SMC check entirely).  Both are

@@ -88,26 +88,12 @@ class CostModel:
     #: ``"step"`` (the legacy single-step interpreter, kept as a
     #: differential oracle).  A ``CPU(executor=...)`` argument wins.
     executor: str = "translate"
-    #: Tier-2 translator features (superblock chaining, indirect-branch
-    #: inline caches, cross-chain flag elision, self-loop register
-    #: hoisting).  False reproduces the PR 1 tier-1 translator — kept
-    #: selectable so benchmarks can attribute the speedup and the
-    #: differential harness can cross-check all three engines.
-    jit_chain: bool = True
     #: Block-cache capacity (LRU-evicted beyond this): bounds memory on
     #: pathological self-modifying workloads that mint fresh leaders.
     jit_block_cap: int = 4096
 
     def cost_of(self, op: int) -> float:
         return self.costs[op]
-
-    @classmethod
-    def for_executor(cls, name: str) -> "CostModel":
-        """Resolve a bench-harness executor label, including the
-        ``"translate-t1"`` alias for the unchained tier-1 translator."""
-        if name == "translate-t1":
-            return cls(executor="translate", jit_chain=False)
-        return cls(executor=name)
 
     @classmethod
     def unit(cls) -> "CostModel":

@@ -109,8 +109,7 @@ class CPU:
                  ssa_addr: int = 0,
                  hot_range=(0, 0),
                  executor: str = None,
-                 branch_targets=None,
-                 flag_kill=None):
+                 branch_targets=None):
         self.space = space
         self.entry = entry
         self.regs = [0] * 16
@@ -130,10 +129,6 @@ class CPU:
         #: branch-target list) — gates inline-cache fills for JMP_R and
         #: CALL_R sites.  None when no loader metadata is available.
         self.branch_targets = branch_targets
-        #: Leaders whose flags are dead on entry per the verified RDD
-        #: liveness pass (absolute addresses); extra veto on the
-        #: translator's block-local kill-clean analysis.
-        self.flag_kill = flag_kill
         self.executor = executor or self.cost_model.executor
         if self.executor not in ("translate", "step"):
             raise ValueError(f"unknown executor {self.executor!r}")
@@ -442,7 +437,7 @@ class CPU:
         blocks_get = blocks.get
         move_to_end = blocks.move_to_end
         translate = cache.translate
-        chain_depth = CHAIN_DEPTH if cache.chain_on else 0
+        chain_depth = CHAIN_DEPTH
         cold_runs = 0 if self.jit_eager else COLD_RUNS
         # A trace longer than the slice could never fit its headroom.
         trace_cap = MAX_TRACE_INSTRS if slice_steps is None \

@@ -106,7 +106,7 @@ def _producer_doc(kind):
         from repro.vm.costmodel import CostModel
         return RunMatrix.collect(
             ["numeric_sort"], settings=("baseline", "P1"), param=40,
-            cost_model=CostModel.for_executor("translate-t1")).to_json()
+            cost_model=CostModel(executor="translate")).to_json()
     if kind == "provision":
         from repro.bench.provision import ProvisionMatrix
         return ProvisionMatrix.collect(["numeric_sort"],
@@ -150,7 +150,7 @@ def test_producer_cells_round_trip(kind):
         assert list(back.higher) == c["higher"]
     if kind == "vm":
         assert {(r.key.executor, r.key.tier) for r in records} == \
-            {("translate-t1", 1)}
+            {("translate", 2)}
 
 
 def test_checkpoint_cell_with_resume_mismatch_is_divergent(monkeypatch):
@@ -403,13 +403,13 @@ def test_cli_gate_missing_or_empty_store(tmp_path, capsys):
     assert "empty" in capsys.readouterr().err
 
 
-def test_cli_smoke_records_all_three_tiers(tmp_path, capsys):
+def test_cli_smoke_records_both_tiers(tmp_path, capsys):
     store = tmp_path / "history.jsonl"
     assert main(["bench", "--smoke", "--workloads", "numeric_sort",
                  "--settings", "P1", "--param", "40",
                  "--record", "--store", str(store)]) == 0
     records = ResultsStore(store).load()
     assert sorted(r.key.executor for r in records) == \
-        ["step", "translate", "translate-t1"]
-    assert sorted(r.key.tier for r in records) == [0, 1, 2]
+        ["step", "translate"]
+    assert sorted(r.key.tier for r in records) == [0, 2]
     assert main(["bench", "gate", "--store", str(store)]) == 0

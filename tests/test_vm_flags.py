@@ -1,11 +1,13 @@
-"""Exhaustive checks of the lazy-flag encoding helpers.
+"""Exhaustive checks of the lazy-flag encoding and the Jcc predicates.
 
 The translated executor carries flags symbolically as ``(fk, fa, fb)``
 — concrete bits, a pending CMP, or a pending TEST — and collapses them
-only when observed.  These tests pin the encoding against a direct
-architectural model over every condition code and the unsigned 64-bit
-boundary operands, so any drift in the lazy encoding shows up here
-before it shows up as a one-bit divergence deep inside a benchmark.
+only when observed.  Conditional branches compile to the predicate
+source in ``_CMP_PRED``, ``_TEST_PRED`` or ``_CONC_PRED``, one table per
+kind.  These tests pin the encoding and every table entry against a
+direct architectural model over every condition code and the unsigned
+64-bit boundary operands, so any drift shows up here before it shows
+up as a one-bit divergence deep inside a benchmark.
 """
 
 import itertools
@@ -13,7 +15,9 @@ import itertools
 import pytest
 
 from repro.isa.instructions import COND_JUMPS, Op
-from repro.vm.translate import eval_jcc, materialize_flags, pack_flags
+from repro.vm.translate import (
+    _CMP_PRED, _CONC_PRED, _TEST_PRED, materialize_flags, pack_flags,
+)
 
 _U64 = (1 << 64) - 1
 _SIGN = 1 << 63
@@ -36,6 +40,13 @@ def _test_flags(a: int, b: int):
     """Architectural flags after ``TEST a, b``."""
     v = a & b
     return v == 0, bool(v & _SIGN), False
+
+
+def _pred(table, op, fa, fb=0) -> bool:
+    """Evaluate a predicate as generated code does: the table's source
+    with the sign-bit constant bound in."""
+    return bool(eval(table[op].format(sg="sg"),
+                     {"fa": fa, "fb": fb, "sg": _SIGN}))
 
 
 def _ref_pred(op: int, f_eq: bool, f_lt_s: bool, f_lt_u: bool) -> bool:
@@ -84,14 +95,15 @@ def test_pending_test_matches_architectural_model(a, b):
 @pytest.mark.parametrize("a", BOUNDARY)
 @pytest.mark.parametrize("b", BOUNDARY)
 def test_eval_jcc_pending_cmp_all_codes(op, a, b):
-    assert eval_jcc(op, 1, a, b) == _ref_pred(op, *_cmp_flags(a, b))
+    assert _pred(_CMP_PRED, op, a, b) == _ref_pred(op, *_cmp_flags(a, b))
 
 
 @pytest.mark.parametrize("op", sorted(COND_JUMPS))
 @pytest.mark.parametrize("a", BOUNDARY)
 @pytest.mark.parametrize("b", BOUNDARY)
 def test_eval_jcc_pending_test_all_codes(op, a, b):
-    assert eval_jcc(op, 2, a & b, 0) == _ref_pred(op, *_test_flags(a, b))
+    assert _pred(_TEST_PRED, op, a & b) == \
+        _ref_pred(op, *_test_flags(a, b))
 
 
 @pytest.mark.parametrize("op", sorted(COND_JUMPS))
@@ -100,6 +112,8 @@ def test_eval_jcc_concrete_agrees_with_lazy(op):
     # evaluating the lazy state directly — the two paths generated
     # code can take across a block boundary.
     for a, b in itertools.product(BOUNDARY, repeat=2):
-        lazy = eval_jcc(op, 1, a, b)
-        packed = pack_flags(*materialize_flags(1, a, b))
-        assert eval_jcc(op, 0, packed, 0) == lazy
+        for kind, table, fa, fb in ((1, _CMP_PRED, a, b),
+                                    (2, _TEST_PRED, a & b, 0)):
+            lazy = _pred(table, op, fa, fb)
+            packed = pack_flags(*materialize_flags(kind, fa, fb))
+            assert _pred(_CONC_PRED, op, packed) == lazy

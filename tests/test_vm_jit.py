@@ -1,11 +1,12 @@
-"""Tier-2 JIT: superblock chaining, indirect-branch inline caches,
+"""JIT: superblock chaining, indirect-branch inline caches,
 page-indexed invalidation and the LRU-bounded block cache.
 
-Everything here is differential at heart: whatever the chained
-executor does — link chains, fill and poison inline caches, sever
-edges on self-modifying code, evict under a tiny cache bound — the
-retired (steps, cycles, rip, result) account must match the unchained
-tier-1 translator and the single-step oracle bit for bit.
+Everything here is differential at heart: whatever the translator
+does — link chains, fill and poison inline caches, sever edges on
+self-modifying code, evict under a tiny cache bound — the retired
+(steps, cycles, rip, result) account must match the single-step oracle
+bit for bit, whether blocks compile lazily at the warm-up threshold or
+eagerly on first dispatch.
 """
 
 import pytest
@@ -46,7 +47,7 @@ def _load(items, enclave=None):
 
 def _cpu(enclave, executor="translate", cost_model=None, **kwargs):
     layout = enclave.layout
-    cm = cost_model or CostModel.for_executor(executor)
+    cm = cost_model or CostModel(executor=executor)
     return CPU(enclave.space, layout.regions["code"].start,
                initial_rsp=layout.initial_rsp,
                ssa_addr=layout.ssa_addr,
@@ -55,9 +56,10 @@ def _cpu(enclave, executor="translate", cost_model=None, **kwargs):
                **kwargs)
 
 
-def _run(items, executor, regs=None, aex=None, **kwargs):
+def _run(items, executor, regs=None, aex=None, eager=False, **kwargs):
     enclave, asm = _load(items)
     cpu = _cpu(enclave, executor, **kwargs)
+    cpu.jit_eager = eager
     for reg, value in (regs or {}).items():
         cpu.regs[reg] = value & _U64
     if aex is not None:
@@ -133,13 +135,18 @@ def _accounts(result):
 
 # -- three-engine equality ----------------------------------------------------
 
+#: (executor, eager): the step oracle, the translator compiling at the
+#: warm-up threshold, and the translator compiling on first dispatch.
+_ENGINES = (("step", False), ("translate", False), ("translate", True))
+
+
 @pytest.mark.parametrize("program", ["nested", "calls"])
 def test_three_engines_agree(program):
     items = _nested_loops() if program == "nested" \
         else _call_items()[0]
     accounts = set()
-    for executor in ("step", "translate-t1", "translate"):
-        result, _ = _run(items, executor)
+    for executor, eager in _ENGINES:
+        result, _ = _run(items, executor, eager=eager)
         accounts.add(_accounts(result))
     assert len(accounts) == 1
 
@@ -147,11 +154,92 @@ def test_three_engines_agree(program):
 def test_three_engines_agree_under_aex_storm():
     items = _nested_loops(outer=40, inner=25)
     accounts = set()
-    for executor in ("step", "translate-t1", "translate"):
-        result, _ = _run(items, executor,
+    for executor, eager in _ENGINES:
+        result, _ = _run(items, executor, eager=eager,
                          aex=AexSchedule(37, jitter=0.4, seed=99))
         accounts.add(_accounts(result))
     assert len(accounts) == 1
+
+
+# -- flags crossing a chain edge ----------------------------------------------
+
+def _flag_edge_jmp(n=60):
+    """The loop block ends ``CMP; JMP`` into ``check``, a leader that
+    starts with a Jcc.  The entry reaches ``check`` first through a
+    taken branch, so ``check`` compiles as its own leader and the loop
+    trace stops at it: the flags cross a chain edge."""
+    return [
+        Instruction(Op.MOV_RI, RAX, 0),
+        Instruction(Op.MOV_RI, RCX, n),
+        Instruction(Op.CMP_RI, RCX, 0),
+        Instruction(Op.JG, Label("check")),
+        Instruction(Op.HLT),
+        LabelDef("loop"),
+        Instruction(Op.ADD_RI, RAX, 3),
+        Instruction(Op.SUB_RI, RCX, 1),
+        Instruction(Op.CMP_RI, RCX, 0),
+        Instruction(Op.JMP, Label("check")),
+        LabelDef("check"),
+        Instruction(Op.JG, Label("loop")),
+    ]
+
+
+def _flag_edge_ret(n=60):
+    """As :func:`_flag_edge_jmp`, but the callee sets the flags and
+    its ``RET`` returns into ``check``."""
+    return [
+        Instruction(Op.MOV_RI, RAX, 0),
+        Instruction(Op.MOV_RI, RCX, n),
+        Instruction(Op.CMP_RI, RCX, 0),
+        Instruction(Op.JG, Label("check")),
+        Instruction(Op.HLT),
+        LabelDef("loop"),
+        Instruction(Op.CALL, Label("body")),
+        LabelDef("check"),
+        Instruction(Op.JG, Label("loop")),
+        Instruction(Op.JMP, Label("done")),
+        LabelDef("body"),
+        Instruction(Op.ADD_RI, RAX, 3),
+        Instruction(Op.SUB_RI, RCX, 1),
+        Instruction(Op.TEST_RR, RCX, RCX),
+        Instruction(Op.RET),
+        LabelDef("done"),
+    ]
+
+
+def _flag_state(result, cpu):
+    return _accounts(result) + (cpu.aex_events, cpu.f_eq, cpu.f_lt_s,
+                                cpu.f_lt_u)
+
+
+@pytest.mark.parametrize("shape", ["jmp", "ret"])
+@pytest.mark.parametrize("mode", ["eager", "lazy", "aex"])
+def test_flags_cross_a_chain_edge(shape, mode):
+    items = _flag_edge_jmp() if shape == "jmp" else _flag_edge_ret()
+
+    def aex():
+        return AexSchedule(29, jitter=0.4, seed=5) if mode == "aex" \
+            else None
+
+    oracle = _flag_state(*_run(items, "step", aex=aex()))
+    result, cpu = _run(items, "translate", aex=aex(),
+                       eager=mode == "eager")
+    assert _flag_state(result, cpu) == oracle
+    if mode == "aex":
+        assert cpu.aex_events > 0
+    stats = cpu.jit_stats()
+    assert stats["chain_hops"] > 0
+    if shape == "ret":
+        assert stats["ic_hits"] > 0
+    # The flag setter's trace stops at the edge into ``check``, which
+    # compiled as its own leader.
+    code = _machine().layout.regions["code"].start
+    labels = assemble(items + [Instruction(Op.HLT)]).labels
+    blocks = cpu._blocks.blocks
+    loop, check = blocks[code + labels["loop"]], \
+        blocks[code + labels["check"]]
+    assert loop.fn is not None and check.fn is not None
+    assert check.start not in loop.rips
 
 
 # -- chaining and inline caches ----------------------------------------------
@@ -261,7 +349,7 @@ def test_lru_bound_holds_under_pathological_smc(monkeypatch):
     account must still match the oracle."""
     monkeypatch.setattr("repro.vm.cpu.COLD_RUNS", 0)
     items = _nested_loops(outer=30, inner=15)
-    cm = CostModel.for_executor("translate")
+    cm = CostModel(executor="translate")
     object.__setattr__(cm, "jit_block_cap", 4) \
         if hasattr(type(cm), "__dataclass_fields__") else None
     enclave, asm = _load(items)
