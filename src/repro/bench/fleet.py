@@ -28,15 +28,15 @@ from __future__ import annotations
 
 import random
 import time
-from typing import Dict, List, Optional
+from typing import List
 
-from ..errors import AdmissionRejected
-from ..service.faults import (
-    CAMPAIGN_SRC, FLEET_LONG_ROUNDS, FLEET_LONG_SRC,
-)
+from ..service.faults import drive_fleet, fleet_job
 from ..service.fleet import build_fleet
-from ..service.scheduler import FleetScheduler, SessionJob
+from ..service.scheduler import FleetScheduler
 from . import store
+
+#: Mean inter-arrival gap of the open-loop arrival process, in ticks.
+ARRIVAL_MEAN_TICKS = 1.5
 
 
 def _arrival_ticks(rng: random.Random, sessions: int,
@@ -54,10 +54,7 @@ def run_fleet_bench(seed: int = 2021, *,
                     drones: int = 4,
                     sessions: int = 32,
                     tenants: int = 4,
-                    arrival_mean_ticks: float = 1.5,
                     long_every: int = 4,
-                    checkpoint_every: int = 200,
-                    quantum_steps: int = 4000,
                     kill_after_steps: int = 600,
                     tenant_quota: int = 4,
                     max_queue: int = 16,
@@ -70,48 +67,20 @@ def run_fleet_bench(seed: int = 2021, *,
     for drone in fleet:
         drone.host.arm_kill(kill_after_steps)
     rng = random.Random(f"fleet-bench:{seed}")
-    arrivals = _arrival_ticks(rng, sessions, arrival_mean_ticks)
-    expected: Dict[str, int] = {}
-    pending_jobs = []
-    for index, tick in enumerate(arrivals):
-        tenant = f"tenant-{index % tenants}"
+    arrivals = []
+    for index, tick in enumerate(
+            _arrival_ticks(rng, sessions, ARRIVAL_MEAN_TICKS)):
         data = bytes((seed + 7 * index + k) % 251
                      for k in range(8 + index % 7))
         long = index % long_every == long_every - 1
-        job = SessionJob(
-            f"s{index:03d}", tenant,
-            FLEET_LONG_SRC if long else CAMPAIGN_SRC, data,
-            priority=1 if long else 5,
-            checkpoint_every=checkpoint_every if long else None,
-            quantum_steps=quantum_steps if long else None)
-        expected[job.job_id] = (FLEET_LONG_ROUNDS if long else 1) \
-            * sum(data)
-        pending_jobs.append((tick, job))
+        job, want = fleet_job(f"s{index:03d}", f"tenant-{index % tenants}",
+                              data, long)
+        arrivals.append((tick, job, want))
 
     began = time.perf_counter()
-    cursor = 0
-    while cursor < len(pending_jobs) or scheduler.pending:
-        if scheduler.tick_now >= max_ticks:
-            break
-        while cursor < len(pending_jobs) and \
-                pending_jobs[cursor][0] <= scheduler.tick_now:
-            try:
-                scheduler.submit(pending_jobs[cursor][1])
-            except AdmissionRejected:
-                pass   # typed + already recorded by the scheduler
-            cursor += 1
-        scheduler.tick()
+    corrupt = drive_fleet(scheduler, arrivals, max_ticks=max_ticks)
     wall_s = time.perf_counter() - began
 
-    # -- verify every completed session against the analytic result --
-    corrupt: List[str] = []
-    for job in scheduler.jobs.values():
-        if job.state != "done" or not job.outcome.ok:
-            continue
-        want = expected[job.job_id]
-        if job.outcome.reports != [want] or \
-                job.plaintexts != [bytes([want % 256])]:
-            corrupt.append(job.job_id)
     report = scheduler.report()
     counters = report["counters"]
     lost = report["lost"]
@@ -171,7 +140,7 @@ def run_fleet_bench(seed: int = 2021, *,
         "drones": drones,
         "sessions": sessions,
         "tenants": tenants,
-        "arrival_mean_ticks": arrival_mean_ticks,
+        "arrival_mean_ticks": ARRIVAL_MEAN_TICKS,
         "ticks": ticks,
         "counters": counters,
         "lost": lost,

@@ -35,10 +35,7 @@ from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 from ..compiler.frontend import compile_source
 from ..core.bootstrap import PROVISION_CACHE, BootstrapEnclave, RunOutcome
-from ..errors import (
-    EnclaveError, EnclaveTeardown, ProtocolError, ReproError,
-    RetryBudgetExceeded,
-)
+from ..errors import ProtocolError, ReproError, RetryBudgetExceeded
 from ..policy.policies import PolicySet
 from ..sgx.layout import EnclaveConfig
 from ..vm.costmodel import CostModel
@@ -146,15 +143,6 @@ def _chaos_plan_seed(chaos_seed: int, name: str, setting: str,
     return int.from_bytes(digest[:8], "big")
 
 
-def _chaos_gate(boot: BootstrapEnclave, plan, site: str) -> None:
-    fault = plan.draw_ecall_fault(site)
-    if fault == "teardown":
-        boot.enclave.destroy()
-        raise EnclaveTeardown(f"injected enclave teardown before {site}")
-    if fault == "transient":
-        raise EnclaveError(f"injected transient failure before {site}")
-
-
 def _chaos_cell(boot: BootstrapEnclave, blob: bytes, input_bytes: bytes,
                 plan, label: str, **run_kwargs):
     """Provision + run one cell under an injected-fault plan.
@@ -182,15 +170,15 @@ def _chaos_cell(boot: BootstrapEnclave, blob: bytes, input_bytes: bytes,
                 boot.recover()
                 recoveries += 1
             delivered, _ = plan.mangle_blob(blob)
-            _chaos_gate(boot, plan, "receive_binary")
+            plan.gate(boot, "receive_binary")
             if boot.receive_binary(delivered) != expected:
                 raise ProtocolError(
                     "enclave measured a different binary "
                     "(corrupted delivery)")
             if input_bytes:
-                _chaos_gate(boot, plan, "receive_userdata")
+                plan.gate(boot, "receive_userdata")
                 boot.receive_userdata(input_bytes)
-            _chaos_gate(boot, plan, "run")
+            plan.gate(boot, "run")
             t0 = time.perf_counter()
             outcome = boot.run(**run_kwargs)
             return outcome, time.perf_counter() - t0, retries, recoveries

@@ -32,17 +32,18 @@ functions of the seed).  Total wall seconds, throughput
 from __future__ import annotations
 
 import time
-from typing import Dict, List, Optional
+from typing import List
 
 from ..core.bootstrap import ProvisionCache
-from ..service.faults import PipelineFaultPlan, _pipeline_data
-from ..service.pipeline import (
-    PipelineOrchestrator, TOPOLOGIES, serial_oracle, topology_stages,
-)
+from ..service.faults import PipelineFaultPlan, pipeline_data, pipeline_trial
+from ..service.pipeline import TOPOLOGIES, topology_stages
 from . import store
 
 #: Fault settings swept per (topology, mode) pair.
 FAULT_SETTINGS = ("clean", "chaos")
+
+#: Stream cells ratchet every channel's keys after this many records.
+REKEY_EVERY = 64
 
 
 def _percentile(values: List[float], q: float) -> float:
@@ -54,59 +55,44 @@ def _percentile(values: List[float], q: float) -> float:
 
 
 def _run_cell(seed: int, topology: str, mode: str, faults: str, *,
-              data_len: int, chunk_size: int, window: int,
-              rekey_every: Optional[int], checkpoint_every: int,
+              data_len: int, chunk_size: int,
               cache: ProvisionCache) -> dict:
-    stages = topology_stages(topology)
+    stages = len(topology_stages(topology))
     # NOT hash(): string hashing is per-process randomized and the
     # chaos cells' deterministic counters must replay byte-identically
     # (and identically between the smoke subset and the full matrix).
     trial = sum(f"{topology}/{mode}/{faults}".encode()) % 97
-    data = _pipeline_data(trial, length=data_len)
     plan = None
     if faults == "chaos":
-        plan = PipelineFaultPlan(
-            seed * 1_000_003 + trial * 131 + len(stages))
-    orch = PipelineOrchestrator(
-        stages, pipeline_id=f"bench-{topology}-{mode}-{faults}",
-        topology=topology, seed=seed, fault_plan=plan,
-        provision_cache=cache, checkpoint_every=checkpoint_every,
-        rekey_every=rekey_every if mode == "stream" else None,
-        sleep=None)
+        plan = PipelineFaultPlan(seed * 1_000_003 + trial * 131 + stages)
     began = time.perf_counter()
-    if mode == "stream":
-        run = orch.run_streaming(data, chunk_size=chunk_size,
-                                 window=window)
-        oracle, _ = serial_oracle(stages, data, chunk_size=chunk_size,
-                                  provision_cache=cache)
-    else:
-        run = orch.run(data)
-        oracle, _ = serial_oracle(stages, data, provision_cache=cache)
+    row, run = pipeline_trial(
+        topology, mode, pipeline_data(trial, length=data_len), plan=plan,
+        pipeline_id=f"bench-{topology}-{mode}-{faults}", seed=seed,
+        cache=cache, chunk_size=chunk_size, rekey_every=REKEY_EVERY)
     wall_s = time.perf_counter() - began
-    identical = bool(run.ok and run.output == oracle)
-    stats = run.stats
-    status = run.status
-    if status == "ok" and not (run.chain_verified and identical):
+    stats, counters = row["stats"], row["counters"]
+    status = row["status"]
+    if status == "ok" and not (row["chain_verified"] and row["identical"]):
         status = "divergent"
-    counters = run.counters
     return store.cell(
         "pipeline", topology, f"{mode}-{faults}", run.chunks, {
-            "chain_verified": bool(run.chain_verified),
-            "output_identical": identical,
+            "chain_verified": row["chain_verified"],
+            "output_identical": row["identical"],
             "links": counters["links"],
             "chunks": run.chunks,
-            "stages": len(stages),
-            "resumes": stats.resumes,
-            "retries": stats.retries,
-            "recoveries": stats.recoveries,
-            "rollbacks_rejected": stats.rollbacks_rejected,
+            "stages": stages,
+            "resumes": stats["resumes"],
+            "retries": stats["retries"],
+            "recoveries": stats["recoveries"],
+            "rollbacks_rejected": stats["rollbacks_rejected"],
             "handoffs_rejected": counters["handoffs_rejected"],
             "chain_attacks_rejected": counters["chain_attacks_rejected"],
             "attacks_accepted": counters["attacks_accepted"],
             "discard_reruns": counters["discard_reruns"],
             "migrations": counters["migrations"],
             "stalls": counters["stalls"],
-            "upstream_excess": run.upstream_reruns,
+            "upstream_excess": counters["upstream_excess"],
             "wall_s": wall_s,
             "records_per_s": run.chunks / wall_s if wall_s else 0.0,
             "chunk_p99_s": _percentile(run.chunk_latencies, 0.99),
@@ -120,22 +106,15 @@ def run_pipeline_bench(seed: int = 2021, *,
                        modes=("batch", "stream"),
                        fault_settings=FAULT_SETTINGS,
                        data_len: int = 96,
-                       chunk_size: int = 16,
-                       window: int = 2,
-                       rekey_every: Optional[int] = 64,
-                       checkpoint_every: int = 25) -> dict:
+                       chunk_size: int = 16) -> dict:
     """Run the pipeline bench matrix; JSON-ready document."""
     cache = ProvisionCache()
     began = time.perf_counter()
-    cells = []
-    for topology in topologies:
-        for mode in modes:
-            for faults in fault_settings:
-                cells.append(_run_cell(
-                    seed, topology, mode, faults,
-                    data_len=data_len, chunk_size=chunk_size,
-                    window=window, rekey_every=rekey_every,
-                    checkpoint_every=checkpoint_every, cache=cache))
+    cells = [_run_cell(seed, topology, mode, faults, data_len=data_len,
+                       chunk_size=chunk_size, cache=cache)
+             for topology in topologies
+             for mode in modes
+             for faults in fault_settings]
     bad = [c for c in cells if c["status"] != "ok"]
     return {
         "schema": store.DOC_SCHEMA,

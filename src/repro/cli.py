@@ -12,9 +12,9 @@ Developer-facing tooling around the library:
   plus a two-executor smoke/divergence check for CI; ``--record``
   appends every cell to the continuous results store and
   ``bench gate`` fails on regressions vs the rolling baseline;
-* ``chaos``   — seeded fault-injection campaign over the two-party
-  protocol; nonzero when any transient failure goes unrecovered or a
-  fatal class was retried;
+* ``chaos``   — seeded fault-injection campaign of one scope (the
+  two-party protocol, mid-run, a fleet or a pipeline); nonzero when
+  the report lists any violation;
 * ``tcb``     — print the measured TCB inventory.
 """
 
@@ -678,146 +678,35 @@ def cmd_bench(args) -> int:
     return 0
 
 
-#: Error kinds that must never show up among *retried* errors — a
-#: campaign that retried one of these has broken the fail-closed rule.
-_NEVER_RETRY = ("PolicyViolation", "VerificationError",
-                "AttestationError", "RetryBudgetExceeded",
-                "RollbackError", "DeadlineExceeded",
-                "ProvenanceError")
-
-
-def _chaos_fleet(args) -> int:
-    """``repro chaos --fleet``: seeded fleet-scoped fault campaign —
-    mid-fleet drone kills, heartbeat storms and a shared attestation
-    outage under load; fails on any lost session or divergent output."""
-    from .service.faults import run_fleet_campaign
-    report = run_fleet_campaign(seed=args.seed)
-    text = json.dumps(report, indent=2, sort_keys=True)
-    if args.out:
-        Path(args.out).write_text(text + "\n")
-    print(text)
-    counters = report["counters"]
-    print(f"\nfleet chaos seed={args.seed}: "
-          f"{counters['completed']} completed, "
-          f"{counters['shed']} shed typed, "
-          f"{len(report['faults'])} faults injected | "
-          f"{counters['replacements']} replacements, "
-          f"{counters['quarantines']} quarantines, "
-          f"{counters['migrations']} migrations, "
-          f"{counters['preemptions']} preemptions, "
-          f"{report['stats']['rollbacks_rejected']} rollbacks rejected")
-    if report["lost"]:
-        print(f"LOST SESSIONS: {', '.join(report['lost'])}")
-        return 1
-    if report["corrupt"]:
-        print(f"CORRUPT OUTCOMES: {', '.join(report['corrupt'])}")
-        return 1
-    print("every admitted session completed or was shed typed under "
-          "fleet-scoped faults; all outputs byte-identical")
-    return 0
-
-
-def _chaos_pipeline(args) -> int:
-    """``repro chaos --pipeline``: seeded pipeline fault campaign —
-    mid-hop kills, handoff corruption, chain splice/replay, stalled
-    stages and quarantines across alternating topologies and
-    batch/stream modes; fails on any lost pipeline, accepted attack,
-    divergent output, upstream re-execution, or non-replayable
-    report."""
-    from .service.faults import run_pipeline_campaign
-    trials = args.trials if args.trials is not None else 6
-    report = run_pipeline_campaign(seed=args.seed, trials=trials)
-    text = json.dumps(report, indent=2, sort_keys=True)
-    if args.out:
-        Path(args.out).write_text(text + "\n")
-    print(text)
-    totals = report["totals"]
-    badly_retried = sorted(
-        kind for kind in report["retried_error_kinds"]
-        if kind in _NEVER_RETRY)
-    print(f"\npipeline chaos seed={args.seed} trials={trials}: "
-          f"{totals['ok']} ok | "
-          f"{totals['faults_injected']} faults injected, "
-          f"{totals['midrun_teardowns']} mid-hop teardowns, "
-          f"{totals['resumes']} checkpoint resumes, "
-          f"{totals['handoffs_rejected']} corrupt handoffs rejected, "
-          f"{totals['chain_attacks_rejected']} chain attacks rejected, "
-          f"{totals['discard_reruns']} discard-reruns, "
-          f"{totals['migrations']} migrations, "
-          f"{totals['stalls']} stalls requeued")
-    failed = False
-    if not report["zero_lost"]:
-        print(f"LOST PIPELINES: {totals['lost']}")
-        failed = True
-    if not report["zero_attacks_accepted"]:
-        print(f"ATTACKS ACCEPTED: {totals['attacks_accepted']} "
-              f"doctored handoffs passed chain verification")
-        failed = True
-    if not report["all_identical"]:
-        print(f"DIVERGENT OUTPUTS: "
-              f"{trials - totals['identical']} of {trials} trials "
-              f"differ from the unfaulted serial oracle")
-        failed = True
-    if not report["zero_upstream_excess"]:
-        print(f"UPSTREAM RE-EXECUTION: {totals['upstream_excess']} "
-              f"completed runs beyond one per hop per chunk")
-        failed = True
-    if not report["replay_identical"]:
-        print("REPLAY DIVERGENCE: re-running trial 0 from the same "
-              "seed produced a different report")
-        failed = True
-    if badly_retried:
-        print(f"FATAL CLASSES RETRIED: {', '.join(badly_retried)}")
-        failed = True
-    if failed:
-        return 1
-    print("zero lost pipelines; every attack rejected; every mid-hop "
-          "teardown recovered by resume at that hop; all outputs "
-          "byte-identical to the serial oracle; replay byte-identical")
-    return 0
-
-
 def cmd_chaos(args) -> int:
-    from .service.faults import run_campaign
-    if args.fleet:
-        return _chaos_fleet(args)
-    if args.pipeline:
-        return _chaos_pipeline(args)
-    trials = args.trials if args.trials is not None else 20
-    args.trials = trials
-    report = run_campaign(seed=args.seed, trials=trials,
-                          mid_run=args.mid_run)
+    """``repro chaos``: one seeded campaign of one scope (host by
+    default, or ``--mid-run`` / ``--fleet`` / ``--pipeline``); exits
+    nonzero exactly when the report lists a violation."""
+    from .service.faults import run_chaos
+    scope = ("fleet" if args.fleet else "pipeline" if args.pipeline
+             else "mid-run" if args.mid_run else "host")
+    report = run_chaos(scope, seed=args.seed, trials=args.trials)
     text = json.dumps(report, indent=2, sort_keys=True)
     if args.out:
         Path(args.out).write_text(text + "\n")
     print(text)
-    totals = report["totals"]
-    badly_retried = sorted(
-        kind for kind in report["retried_error_kinds"]
-        if kind in _NEVER_RETRY)
-    print(f"\nchaos seed={args.seed} trials={args.trials}"
-          f"{' mid-run' if args.mid_run else ''}: "
-          f"{totals['ok']} ok, {totals['violation']} violations "
-          f"trapped, {totals['aborted']} aborted | "
-          f"{totals['faults_injected']} faults injected, "
-          f"{totals['retries']} retries, "
-          f"{totals['reconnects']} reconnects, "
-          f"{totals['recoveries']} enclave recoveries, "
-          f"{totals['resumes']} checkpoint resumes, "
-          f"{totals['rollbacks_rejected']} rollbacks rejected")
-    if totals["unrecovered"]:
-        print(f"UNRECOVERED transient failures: "
-              f"{totals['unrecovered']}")
+    totals, stats = report["totals"], report["stats"]
+    statuses = ", ".join(f"{count} {status}" for status, count
+                         in report["statuses"].items())
+    print(f"\nchaos {scope} seed={args.seed} trials={report['trials']}: "
+          f"{statuses} | {totals['faults_injected']} faults injected, "
+          f"{stats['retries']} retries, "
+          f"{stats['reconnects']} reconnects, "
+          f"{stats['recoveries']} enclave recoveries, "
+          f"{stats['resumes']} checkpoint resumes, "
+          f"{stats['rollbacks_rejected']} rollbacks rejected")
+    for violation in report["violations"]:
+        print(f"VIOLATION {violation}")
+    if report["violations"]:
         return 1
-    if totals["corrupt"]:
-        print(f"CORRUPT OUTCOMES (resumed run diverged or tampered "
-              f"state was accepted): {totals['corrupt']}")
-        return 1
-    if badly_retried:
-        print(f"FATAL CLASSES RETRIED: {', '.join(badly_retried)}")
-        return 1
-    print("all transient faults recovered; no fatal class retried; "
-          "every completed run produced the expected result")
+    print("no violations: zero lost, corrupt, accepted-attack and "
+          "upstream re-execution counts; no fatal class retried; "
+          "trial 0 replay byte-identical")
     return 0
 
 
@@ -1016,8 +905,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("chaos", help="seeded fault-injection campaign")
     p.add_argument("--seed", type=int, default=2021)
     p.add_argument("--trials", type=int, default=None,
-                   help="campaign trials (default: 20; 6 with "
-                        "--pipeline)")
+                   help="campaign trials (default: 20; 1 with --fleet, "
+                        "6 with --pipeline)")
     p.add_argument("--mid-run", action="store_true",
                    help="checkpoint the runs and additionally inject "
                         "mid-execution teardowns, checkpoint-chain "

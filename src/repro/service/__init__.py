@@ -11,7 +11,7 @@ party sees the other's secret; the host sees neither.
 from .protocol import CCaaSHost, establish_session
 from .roles import CodeProvider, DataOwner
 from .https_sim import HttpsServerSim, LoadGenerator, HttpsLoadResult
-from .faults import FaultPlan, FaultyHost, run_campaign
+from .faults import FaultPlan, FaultyHost, run_chaos
 from .resilient import (
     ResilientSession, RetryPolicy, SessionStats, TwoPartyWorkflow,
     classify_error,
@@ -23,7 +23,7 @@ __all__ = [
     "CCaaSHost", "establish_session",
     "CodeProvider", "DataOwner",
     "HttpsServerSim", "LoadGenerator", "HttpsLoadResult",
-    "FaultPlan", "FaultyHost", "run_campaign",
+    "FaultPlan", "FaultyHost", "run_chaos",
     "ResilientSession", "RetryPolicy", "SessionStats",
     "TwoPartyWorkflow", "classify_error",
     "Drone", "FleetHost", "build_fleet",

@@ -4,21 +4,25 @@ DEFLECTION's threat model (§III-A) makes the host adversarial — yet the
 happy-path service layer implicitly trusts it to relay bytes faithfully
 and keep the enclave alive.  This module supplies the missing adversary:
 
-* :class:`FaultPlan` — a seeded schedule of faults.  Every decision is
-  drawn from one ``random.Random`` in call order and charged against a
-  fault *budget*, so (a) a campaign driven by the same seed injects
+* one seeded fault *budget* behind every plan: each decision is drawn
+  from one ``random.Random`` in call order and charged against the
+  budget, so (a) a campaign driven by the same seed injects
   byte-identical faults, and (b) any retry loop with more attempts than
-  the budget provably converges.
+  the budget provably converges;
+* three plans on that budget, one per scope — :class:`FaultPlan` (one
+  host's boundaries), :class:`FleetFaultPlan` (a fleet between
+  supervision ticks) and :class:`PipelineFaultPlan` (stage handoffs,
+  stalls and quarantines, plus a derived :class:`FaultPlan` per hop);
 * :class:`FaultyHost` — a :class:`~repro.service.protocol.CCaaSHost`
   lookalike that mangles relayed ciphertext (corrupt / truncate /
   duplicate / reorder records), fails ECalls transiently, tears the
   enclave down mid-protocol (forcing re-EINIT and a fresh attested
   session), injects attestation-service outages into the handshake, and
-  schedules dense AEX storms under ``ecall_run``.
-* :func:`run_campaign` — the scripted chaos campaign behind
-  ``repro chaos``: N independent trials of the full two-party flow
-  driven through :class:`~repro.service.resilient.TwoPartyWorkflow`,
-  with a deterministic JSON-ready report.
+  schedules dense AEX storms under ``ecall_run``;
+* :func:`run_chaos` — the one chaos engine behind ``repro chaos``: N
+  seeded trials of one scope (``host``, ``mid-run``, ``fleet`` or
+  ``pipeline``), a byte-identical replay of trial 0, and one shared set
+  of invariant checks that yields the report's ``violations``.
 
 The plan mangles *wire images*, not plaintext: every fault a real host
 could inject lands on ciphertext records, and detection is exactly what
@@ -27,17 +31,30 @@ the channel MAC / sequence numbers / measurement re-check provide.
 
 from __future__ import annotations
 
+import functools
 import hashlib
+import json
 import random
-from typing import List, Optional, Tuple
+from collections import Counter
+from typing import Callable, Dict, List, Optional, Tuple
 
 from ..core.bootstrap import BootstrapEnclave, ProvisionCache
-from ..errors import AttestationOutage, EnclaveError, EnclaveTeardown
+from ..errors import (
+    AdmissionRejected, AttestationOutage, EnclaveError, EnclaveTeardown,
+    ReproError,
+)
 from ..policy.policies import PolicySet
 from ..sgx.attestation import AttestationService
 from ..vm.interrupts import AexSchedule
-from .protocol import CCaaSHost
+from .fleet import build_fleet
+from .pipeline import (
+    PipelineOrchestrator, PipelineRun, TOPOLOGIES, serial_oracle,
+    topology_stages,
+)
+from .protocol import CCaaSHost, after_steps
+from .resilient import RetryPolicy, SessionStats, TwoPartyWorkflow
 from .roles import CodeProvider, DataOwner
+from .scheduler import FleetScheduler, SessionJob
 
 #: Wire fault kinds a malicious relay can apply to a record stream.
 WIRE_FAULTS = ("corrupt", "truncate", "duplicate", "reorder")
@@ -91,7 +108,28 @@ def reorder_records(wire: bytes, rng: random.Random,
     return b"".join(records)
 
 
-class FaultPlan:
+class _FaultBudget:
+    """The seeded RNG, fault budget and injection log every plan
+    shares.  Once ``faults_remaining`` hits zero no draw succeeds (and
+    none consumes randomness), so the plan behaves honestly forever."""
+
+    def __init__(self, seed: int, rng_seed, max_faults: int):
+        self.seed = seed
+        self.max_faults = max_faults
+        self.faults_remaining = max_faults
+        #: Ordered log of every injected fault (replay evidence).
+        self.injected: List[str] = []
+        self._rng = random.Random(rng_seed)
+
+    def _charge(self, label: str) -> None:
+        self.faults_remaining -= 1
+        self.injected.append(label)
+
+    def _chance(self, p: float) -> bool:
+        return self.faults_remaining > 0 and self._rng.random() < p
+
+
+class FaultPlan(_FaultBudget):
     """Seeded, budgeted schedule of host faults.
 
     Probabilities are per-opportunity (per relayed message, per ECall,
@@ -112,7 +150,7 @@ class FaultPlan:
                  p_rollback: float = 0.20,
                  p_smc: float = 0.25,
                  max_faults: int = 8):
-        self.seed = seed
+        super().__init__(seed, seed, max_faults)
         self.p_wire = p_wire
         self.p_transient = p_transient
         self.p_teardown = p_teardown
@@ -128,18 +166,6 @@ class FaultPlan:
         self.p_chain_corrupt = p_chain_corrupt
         self.p_rollback = p_rollback
         self.p_smc = p_smc
-        self.max_faults = max_faults
-        self.faults_remaining = max_faults
-        #: Ordered log of every injected fault (replay evidence).
-        self.injected: List[str] = []
-        self._rng = random.Random(seed)
-
-    def _charge(self, label: str) -> None:
-        self.faults_remaining -= 1
-        self.injected.append(label)
-
-    def _chance(self, p: float) -> bool:
-        return self.faults_remaining > 0 and self._rng.random() < p
 
     # -- draw sites -----------------------------------------------------
 
@@ -247,13 +273,31 @@ class FaultPlan:
         self._charge(f"blob_{kind}")
         return mutated, kind
 
+    def gate(self, bootstrap: BootstrapEnclave, site: str) -> None:
+        """One ECall boundary: maybe destroy ``bootstrap``'s enclave
+        (:class:`EnclaveTeardown`) or fail transiently
+        (:class:`EnclaveError`) before the call reaches it."""
+        fault = self.draw_ecall_fault(site)
+        if fault == "teardown":
+            bootstrap.enclave.destroy()
+            raise EnclaveTeardown(
+                f"injected enclave teardown before {site}")
+        if fault == "transient":
+            raise EnclaveError(
+                f"injected transient host failure before {site}")
+
 
 class _FlakyAttestationService:
-    """``verify_quote`` proxy that injects plan-driven outages."""
+    """``verify_quote`` proxy that injects outages: first any scheduled
+    ones (``outages`` calls fail outright, with no draw), then — with a
+    ``plan`` — one plan draw per call."""
 
-    def __init__(self, service: AttestationService, plan: FaultPlan):
+    def __init__(self, service: AttestationService,
+                 plan: Optional[FaultPlan] = None):
         self._service = service
         self._plan = plan
+        #: Upcoming calls that fail before any plan draw.
+        self.outages = 0
 
     @property
     def verifying_key(self):
@@ -263,7 +307,11 @@ class _FlakyAttestationService:
         self._service.provision_platform(platform_id, key)
 
     def verify_quote(self, quote_bytes: bytes):
-        if self._plan.draw_outage():
+        if self.outages > 0:
+            self.outages -= 1
+            raise AttestationOutage(
+                "attestation service unavailable (scheduled outage)")
+        if self._plan is not None and self._plan.draw_outage():
             raise AttestationOutage(
                 "injected attestation service outage")
         return self._service.verify_quote(quote_bytes)
@@ -307,67 +355,46 @@ class FaultyHost:
         the injection points of pre-existing campaign replays."""
         return self.host.ecall_ping()
 
-    def _gate(self, site: str) -> None:
-        fault = self.plan.draw_ecall_fault(site)
-        if fault == "teardown":
-            self.host.bootstrap.enclave.destroy()
-            raise EnclaveTeardown(
-                f"injected enclave teardown before {site}")
-        if fault == "transient":
-            raise EnclaveError(
-                f"injected transient host failure before {site}")
-
     def ecall_receive_binary(self, blob: bytes, encrypted: bool = True):
         if encrypted:
             blob, _ = self.plan.mangle_wire(blob, self.record_len)
-        self._gate("ecall_receive_binary")
+        self.plan.gate(self.bootstrap, "ecall_receive_binary")
         return self.host.ecall_receive_binary(blob, encrypted=encrypted)
 
     def ecall_receive_userdata(self, data: bytes,
                                encrypted: bool = True):
         if encrypted:
             data, _ = self.plan.mangle_wire(data, self.record_len)
-        self._gate("ecall_receive_userdata")
+        self.plan.gate(self.bootstrap, "ecall_receive_userdata")
         return self.host.ecall_receive_userdata(data, encrypted=encrypted)
 
     def _arm_midrun(self, kwargs: dict) -> dict:
-        """Maybe schedule a teardown ``k`` instructions into the run,
-        realized cooperatively at the next checkpoint safe point (the
-        simulator cannot interrupt the VM asynchronously)."""
-        if kwargs.get("checkpoint_every") is None or \
-                "interrupt" in kwargs:
+        """Maybe arm a mid-run teardown (the wrapped host's
+        :meth:`~repro.service.protocol.CCaaSHost.arm_kill`) and an SMC
+        flush, each ``k`` instructions into this checkpointed run."""
+        if kwargs.get("checkpoint_every") is None:
             return kwargs
         k = self.plan.draw_midrun_teardown()
         k_smc = self.plan.draw_midrun_smc()
-        if k is None and k_smc is None:
+        if k is not None:
+            self.host.arm_kill(k)
+        if k_smc is None:
             return kwargs
         bootstrap = self.host.bootstrap
-        start = None
-        smc_pending = k_smc is not None
 
-        def interrupt(cpu):
-            nonlocal start, smc_pending
-            if start is None:
-                start = cpu.steps
-            if smc_pending and cpu.steps >= start + k_smc:
-                # SMC chaos: flush the whole text segment's translated
-                # code.  Chains sever, inline caches drop, and the run
-                # must still retire bit-identically.
-                smc_pending = False
-                loaded = bootstrap.loaded
-                cpu.space.invalidate_code_range(loaded.code_base,
-                                                loaded.code_len)
-            if k is not None and cpu.steps >= start + k:
-                bootstrap.enclave.destroy()
-                raise EnclaveTeardown(
-                    f"injected mid-run teardown at step {cpu.steps}")
+        def flush(cpu):
+            # SMC chaos: flush the whole text segment's translated
+            # code.  Chains sever, inline caches drop, and the run
+            # must still retire bit-identically.
+            loaded = bootstrap.loaded
+            cpu.space.invalidate_code_range(loaded.code_base,
+                                            loaded.code_len)
 
-        kwargs = dict(kwargs)
-        kwargs["interrupt"] = interrupt
-        return kwargs
+        return dict(kwargs, interrupt=after_steps(
+            k_smc, flush, kwargs.get("interrupt")))
 
     def ecall_run(self, **kwargs):
-        self._gate("ecall_run")
+        self.plan.gate(self.bootstrap, "ecall_run")
         if "aex_schedule" not in kwargs:
             storm = self.plan.draw_storm()
             if storm is not None:
@@ -379,7 +406,7 @@ class FaultyHost:
         or a rollback replay (chain with the newest checkpoint
         withheld).  Detection is enclave-side, exactly where it must
         be: the chain MACs and the platform monotonic counter."""
-        self._gate("ecall_resume")
+        self.plan.gate(self.bootstrap, "ecall_resume")
         blobs = list(blobs)
         attack = self.plan.draw_chain_attack()
         if attack == "corrupt" and blobs:
@@ -390,163 +417,7 @@ class FaultyHost:
         return self.host.ecall_resume(blobs, **self._arm_midrun(kwargs))
 
 
-# -- the scripted chaos campaign (``repro chaos``) -----------------------
-
-#: The campaign's service program: recv -> checksum -> send + report.
-CAMPAIGN_SRC = """
-char buf[64];
-int main() {
-    int n = __recv(buf, 64);
-    int sum = 0;
-    int i;
-    for (i = 0; i < n; i++) sum += buf[i];
-    buf[0] = sum % 256;
-    __send(buf, 1);
-    __report(sum);
-    return sum;
-}
-"""
-
-#: Long-running variant for fleet campaigns: same checksum, iterated
-#: ``FLEET_LONG_ROUNDS`` times, so the run spans many checkpoint safe
-#: points and can be preempted/killed mid-flight and resumed.  Expected
-#: report value: ``FLEET_LONG_ROUNDS * sum(data)``.
-FLEET_LONG_ROUNDS = 40
-FLEET_LONG_SRC = f"""
-char buf[64];
-int main() {{
-    int n = __recv(buf, 64);
-    int sum = 0;
-    int round;
-    int i;
-    for (round = 0; round < {FLEET_LONG_ROUNDS}; round++) {{
-        for (i = 0; i < n; i++) sum += buf[i];
-    }}
-    buf[0] = sum % 256;
-    __send(buf, 1);
-    __report(sum);
-    return sum;
-}}
-"""
-
-
-def run_campaign(seed: int = 2021, trials: int = 20,
-                 data: bytes = bytes(range(16)),
-                 aex_threshold: int = 25,
-                 max_faults: int = 8,
-                 mid_run: bool = False,
-                 checkpoint_every: int = 25) -> dict:
-    """Run ``trials`` independent faulted two-party flows; return a
-    deterministic JSON-ready report.
-
-    With ``mid_run=True`` the runs are checkpointed
-    (``checkpoint_every`` instructions per sealed checkpoint) and the
-    fault plan additionally tears the enclave down *mid-execution*,
-    corrupts relayed checkpoint chains, and replays stale ones — so the
-    campaign exercises resume-from-checkpoint recovery and fail-closed
-    rollback rejection on top of the boundary faults.
-
-    Each trial gets its own bootstrap, host and seeded
-    :class:`FaultPlan`; all trials share one
-    :class:`~repro.core.bootstrap.ProvisionCache`, so every re-delivery
-    after the first verified provisioning — including re-deliveries
-    forced by enclave recoveries — skips RDD/verify/rewrite (recovery is
-    cheap by construction).  Trial outcomes are classified as:
-
-    * ``ok`` — completed, result decrypted and cross-checked;
-    * ``violation`` — a policy trapped (e.g. P6 detecting an injected
-      AEX storm): the defense engaged, never retried;
-    * ``corrupt`` — completed but wrong result (must never happen);
-    * ``aborted:<Error>`` — a fatal classification or an exhausted
-      retry budget surfaced to the caller.
-    """
-    from .resilient import RetryPolicy, SessionStats, TwoPartyWorkflow
-
-    expected_sum = sum(data)
-    expected_plain = bytes([expected_sum % 256])
-    cache = ProvisionCache()
-    policies = PolicySet.full()
-    trial_rows = []
-    totals = {"ok": 0, "violation": 0, "fault": 0, "corrupt": 0,
-              "aborted": 0, "retries": 0, "reconnects": 0,
-              "recoveries": 0, "fatal_errors": 0, "faults_injected": 0,
-              "audit_recoveries": 0, "resumes": 0,
-              "rollbacks_rejected": 0, "smc_flushes": 0}
-    campaign_stats = SessionStats()
-    run_kwargs = {"checkpoint_every": checkpoint_every} if mid_run \
-        else {}
-
-    for trial in range(trials):
-        plan = FaultPlan(seed * 1_000_003 + trial,
-                         max_faults=max_faults, mid_run=mid_run)
-        boot = BootstrapEnclave(policies=policies,
-                                aex_threshold=aex_threshold,
-                                provision_cache=cache)
-        host = FaultyHost(CCaaSHost(boot, AttestationService()), plan)
-        provider = CodeProvider(CAMPAIGN_SRC, policies)
-        owner = DataOwner(data=data)
-        owner.approved_hashes.append(
-            hashlib.sha256(provider.build()).digest())
-        workflow = TwoPartyWorkflow(
-            host, provider, owner,
-            retry=RetryPolicy(max_attempts=max_faults + 2,
-                              seed=seed + trial))
-        try:
-            outcome, plaintext = workflow.execute(**run_kwargs)
-            if outcome.ok:
-                good = (plaintext == [expected_plain]
-                        and outcome.reports == [expected_sum])
-                status = "ok" if good else "corrupt"
-            else:
-                status = outcome.status
-        except Exception as exc:  # fatal classes + exhausted budgets
-            status = f"aborted:{type(exc).__name__}"
-        stats = workflow.combined_stats()
-        campaign_stats.merge(stats)
-        key = status.split(":", 1)[0]
-        totals[key] = totals.get(key, 0) + 1
-        totals["faults_injected"] += len(plan.injected)
-        totals["smc_flushes"] += sum(
-            1 for label in plan.injected
-            if label.startswith("midrun_smc"))
-        totals["audit_recoveries"] += boot.audit.count("recovered")
-        trial_rows.append({
-            "trial": trial,
-            "status": status,
-            "faults": list(plan.injected),
-            "retries": stats.retries,
-            "reconnects": stats.reconnects,
-            "recoveries": stats.recoveries,
-            "resumes": stats.resumes,
-            "rollbacks_rejected": stats.rollbacks_rejected,
-            "audit_chain_ok": boot.audit.verify_chain(),
-            "audit_recovered_events": boot.audit.count("recovered"),
-        })
-
-    for field in ("retries", "reconnects", "recoveries",
-                  "fatal_errors", "resumes", "rollbacks_rejected"):
-        totals[field] = getattr(campaign_stats, field)
-    totals["unrecovered"] = sum(
-        1 for row in trial_rows
-        if row["status"] == "aborted:RetryBudgetExceeded")
-    return {
-        "schema": "deflection-chaos/1",
-        "seed": seed,
-        "trials": trials,
-        "mid_run": mid_run,
-        "totals": totals,
-        "retried_error_kinds": dict(
-            sorted(campaign_stats.retried_kinds.items())),
-        "fatal_error_kinds": dict(
-            sorted(campaign_stats.fatal_kinds.items())),
-        "provision_cache": cache.stats(),
-        "trials_detail": trial_rows,
-    }
-
-
-# -- fleet-scoped chaos ---------------------------------------------------
-
-class FleetFaultPlan:
+class FleetFaultPlan(_FaultBudget):
     """Seeded, budgeted chaos against a whole fleet.
 
     Where :class:`FaultPlan` attacks one host's boundaries,
@@ -555,32 +426,20 @@ class FleetFaultPlan:
     victim's next checkpointed safe point), storm a subset of drones
     (their next ``n`` heartbeats fail, driving the quarantine path),
     or outage the shared attestation service under load (every
-    re-attesting session fleet-wide sees it).  One ``random.Random``
-    drawn in tick order plus an event budget keep campaigns
-    byte-identical per seed and provably convergent: once the budget
-    is spent the fleet heals and the scheduler drains the queue.
+    re-attesting session fleet-wide sees it).  Drawn in tick order;
+    once the budget is spent the fleet heals and the scheduler drains
+    the queue.
     """
 
     def __init__(self, seed: int, *,
                  p_kill: float = 0.20,
                  p_storm: float = 0.25,
                  p_outage: float = 0.15,
-                 max_events: int = 10):
-        self.seed = seed
+                 max_faults: int = 10):
+        super().__init__(seed, f"fleet:{seed}", max_faults)
         self.p_kill = p_kill
         self.p_storm = p_storm
         self.p_outage = p_outage
-        self.max_events = max_events
-        self.events_remaining = max_events
-        self.injected: List[str] = []
-        self._rng = random.Random(f"fleet:{seed}")
-
-    def _charge(self, label: str) -> None:
-        self.events_remaining -= 1
-        self.injected.append(label)
-
-    def _chance(self, p: float) -> bool:
-        return self.events_remaining > 0 and self._rng.random() < p
 
     def apply_tick(self, scheduler) -> None:
         """Draw this tick's events against ``scheduler``'s fleet."""
@@ -606,83 +465,16 @@ class FleetFaultPlan:
             self._charge(f"storm({names},n={fails})")
         if self._chance(self.p_outage):
             calls = self._rng.randint(1, 3)
-            drones[0].attestation.schedule_outage(calls)
+            # The drones share one attestation service: wrap it once,
+            # for every drone, so the outage is fleet-wide.
+            service = drones[0].host.attestation_service
+            if not isinstance(service, _FlakyAttestationService):
+                service = _FlakyAttestationService(service)
+                for drone in drones:
+                    drone.host.attestation_service = service
+            service.outages = calls
             self._charge(f"attestation_outage(calls={calls})")
 
-
-def run_fleet_campaign(seed: int = 2021, *,
-                       drones: int = 4,
-                       jobs: int = 12,
-                       long_every: int = 4,
-                       tenants: int = 3,
-                       max_events: int = 10,
-                       max_ticks: int = 300,
-                       checkpoint_every: int = 200,
-                       quantum_steps: int = 4000) -> dict:
-    """Drive a fleet through a seeded chaos campaign; JSON-ready report.
-
-    ``jobs`` sessions across ``tenants`` tenants are submitted up
-    front (every ``long_every``-th is a long checkpointed job, so the
-    kill/preempt/migrate machinery is actually exercised); a
-    :class:`FleetFaultPlan` fires between supervision ticks.  The
-    invariants the caller (``repro chaos --fleet``) asserts:
-
-    * zero lost sessions — every admitted job reached a terminal state
-      within ``max_ticks``;
-    * zero corrupt results — every completed job's plaintext and
-      report match the analytic expectation;
-    * no accepted rollbacks — chain rejections only ever show up as
-      ``rollbacks_rejected`` + a from-scratch rerun.
-    """
-    from .fleet import build_fleet
-    from .scheduler import FleetScheduler, SessionJob
-
-    fleet = build_fleet(drones)
-    scheduler = FleetScheduler(fleet, seed=seed)
-    plan = FleetFaultPlan(seed, max_events=max_events)
-    expected = {}
-    for index in range(jobs):
-        tenant = f"tenant-{index % tenants}"
-        data = bytes((seed + index + offset) % 251
-                     for offset in range(8 + index % 5))
-        long = index % long_every == long_every - 1
-        job = SessionJob(
-            f"job-{index}", tenant,
-            FLEET_LONG_SRC if long else CAMPAIGN_SRC, data,
-            priority=1 if long else 5,
-            checkpoint_every=checkpoint_every if long else None,
-            quantum_steps=quantum_steps if long else None)
-        rounds = FLEET_LONG_ROUNDS if long else 1
-        expected[job.job_id] = rounds * sum(data)
-        scheduler.submit(job)
-
-    ticks = 0
-    while scheduler.pending and ticks < max_ticks:
-        plan.apply_tick(scheduler)
-        scheduler.tick()
-        ticks += 1
-
-    corrupt = []
-    for job in scheduler.jobs.values():
-        if job.state != "done" or not job.outcome.ok:
-            continue
-        want = expected[job.job_id]
-        if job.outcome.reports != [want] or \
-                job.plaintexts != [bytes([want % 256])]:
-            corrupt.append(job.job_id)
-    report = scheduler.report()
-    report.update({
-        "schema": "deflection-fleet-chaos/1",
-        "seed": seed,
-        "faults": list(plan.injected),
-        "faults_injected": len(plan.injected),
-        "corrupt": corrupt,
-        "zero_lost": not report["lost"],
-    })
-    return report
-
-
-# -- pipeline chaos ------------------------------------------------------
 
 #: Handoff attacks a malicious relay can mount between two stages.
 #: ``lose`` drops the sealed handoff entirely (forcing a stale-chain
@@ -692,10 +484,10 @@ HANDOFF_FAULTS = ("corrupt", "lose", "reorder", "truncate",
                   "splice", "replay")
 
 
-class PipelineFaultPlan:
+class PipelineFaultPlan(_FaultBudget):
     """Seeded, budgeted chaos schedule for a multi-enclave pipeline.
 
-    Two layers share one budget discipline:
+    Two layers, each on its own budget:
 
     * *per-hop host faults* — each stage's :class:`FaultyHost` runs
       under its own derived :class:`FaultPlan` (wire mangling,
@@ -720,36 +512,22 @@ class PipelineFaultPlan:
                  p_handoff: float = 0.45,
                  p_stall: float = 0.25,
                  p_quarantine: float = 0.15,
-                 max_events: int = 6,
-                 hop_max_faults: int = 4,
-                 hop_mid_run: bool = True):
-        self.seed = seed
+                 max_faults: int = 6,
+                 hop_max_faults: int = 4):
+        super().__init__(seed, f"pipeline:{seed}", max_faults)
         self.p_handoff = p_handoff
         self.p_stall = p_stall
         self.p_quarantine = p_quarantine
-        self.max_events = max_events
-        self.events_remaining = max_events
         self.hop_max_faults = hop_max_faults
-        self.hop_mid_run = hop_mid_run
-        #: Ordered log of every pipeline-level event (replay evidence).
-        self.injected: List[str] = []
-        self._rng = random.Random(f"pipeline:{seed}")
         self._hop_plans = {}
         self._quarantined_hops = set()
-
-    def _charge(self, label: str) -> None:
-        self.events_remaining -= 1
-        self.injected.append(label)
-
-    def _chance(self, p: float) -> bool:
-        return self.events_remaining > 0 and self._rng.random() < p
 
     def hop_plan(self, hop: int) -> FaultPlan:
         """The derived per-hop host fault plan (cached per hop)."""
         plan = self._hop_plans.get(hop)
         if plan is None:
             plan = FaultPlan(self.seed * 1_000_003 + hop * 31 + 7,
-                             mid_run=self.hop_mid_run,
+                             mid_run=True,
                              p_storm=0.0,
                              p_chain_corrupt=0.0,
                              p_rollback=0.0,
@@ -795,7 +573,96 @@ class PipelineFaultPlan:
         return out
 
 
-def _pipeline_data(trial: int, length: int = 72) -> bytes:
+# -- the service programs the trials run -----------------------------------
+
+#: The campaign's service program: recv -> checksum -> send + report.
+CAMPAIGN_SRC = """
+char buf[64];
+int main() {
+    int n = __recv(buf, 64);
+    int sum = 0;
+    int i;
+    for (i = 0; i < n; i++) sum += buf[i];
+    buf[0] = sum % 256;
+    __send(buf, 1);
+    __report(sum);
+    return sum;
+}
+"""
+
+#: Long-running variant for fleet campaigns: same checksum, iterated
+#: ``FLEET_LONG_ROUNDS`` times, so the run spans many checkpoint safe
+#: points and can be preempted/killed mid-flight and resumed.  Expected
+#: report value: ``FLEET_LONG_ROUNDS * sum(data)``.
+FLEET_LONG_ROUNDS = 40
+FLEET_LONG_SRC = f"""
+char buf[64];
+int main() {{
+    int n = __recv(buf, 64);
+    int sum = 0;
+    int round;
+    int i;
+    for (round = 0; round < {FLEET_LONG_ROUNDS}; round++) {{
+        for (i = 0; i < n; i++) sum += buf[i];
+    }}
+    buf[0] = sum % 256;
+    __send(buf, 1);
+    __report(sum);
+    return sum;
+}}
+"""
+
+
+# -- trial bodies shared by the chaos engine and the benches ---------------
+
+def fleet_job(job_id: str, tenant: str, data: bytes,
+              long: bool) -> Tuple[SessionJob, int]:
+    """One fleet session and its analytic report value: a short
+    checksum job, or (``long``) the iterated checksum, checkpointed
+    every 200 instructions and preempted every 4000."""
+    job = SessionJob(
+        job_id, tenant, FLEET_LONG_SRC if long else CAMPAIGN_SRC, data,
+        priority=1 if long else 5,
+        checkpoint_every=200 if long else None,
+        quantum_steps=4000 if long else None)
+    return job, (FLEET_LONG_ROUNDS if long else 1) * sum(data)
+
+
+def drive_fleet(scheduler: FleetScheduler,
+                arrivals: List[Tuple[int, SessionJob, int]], *,
+                max_ticks: int,
+                before_tick: Optional[Callable[[FleetScheduler], None]]
+                = None) -> List[str]:
+    """Submit each ``(tick, job, want)`` once its tick is due (a shed
+    job is typed and recorded by the scheduler), run ``before_tick``
+    and a supervision tick until every admitted job is terminal or
+    ``max_ticks`` ran out, and return the ids of completed jobs whose
+    report or plaintext differs from ``want``."""
+    cursor = 0
+    while cursor < len(arrivals) or scheduler.pending:
+        if scheduler.tick_now >= max_ticks:
+            break
+        while cursor < len(arrivals) and \
+                arrivals[cursor][0] <= scheduler.tick_now:
+            try:
+                scheduler.submit(arrivals[cursor][1])
+            except AdmissionRejected:
+                pass
+            cursor += 1
+        if before_tick is not None:
+            before_tick(scheduler)
+        scheduler.tick()
+    corrupt = []
+    for _, job, want in arrivals:
+        if job.state != "done" or not job.outcome.ok:
+            continue
+        if job.outcome.reports != [want] or \
+                job.plaintexts != [bytes([want % 256])]:
+            corrupt.append(job.job_id)
+    return corrupt
+
+
+def pipeline_data(trial: int, length: int = 72) -> bytes:
     """Deterministic per-trial input with uppercase bytes interleaved
     throughout, so the genomics filter stage never emits an empty
     chunk."""
@@ -807,133 +674,236 @@ def _pipeline_data(trial: int, length: int = 72) -> bytes:
     return bytes(out[:length])
 
 
-def _pipeline_trial(seed: int, trial: int, cache: ProvisionCache, *,
-                    chunk_size: int, window: int,
-                    checkpoint_every: int) -> Tuple[dict, object]:
-    """One faulted pipeline flow; returns ``(row, run)``.
+def pipeline_trial(topology: str, mode: str, data: bytes, *,
+                   plan: Optional[PipelineFaultPlan], pipeline_id: str,
+                   seed: int, cache: ProvisionCache, chunk_size: int,
+                   rekey_every: Optional[int] = None
+                   ) -> Tuple[dict, PipelineRun]:
+    """Run ``data`` through ``topology`` (``batch`` or ``stream``
+    mode) and compare it with the unfaulted serial oracle; returns
+    ``(row, run)``.
 
-    The row contains only deterministic fields (no wall-clock, no
-    cache state), so re-running the same trial must serialize
-    byte-identically — the campaign's replay invariant.
+    The row holds only deterministic fields (no wall-clock, no cache
+    state), so re-running the same trial serializes byte-identically.
     """
-    from .pipeline import (PipelineOrchestrator, serial_oracle,
-                           topology_stages, TOPOLOGIES)
-    topology = TOPOLOGIES[trial % len(TOPOLOGIES)]
-    mode = "stream" if (trial // len(TOPOLOGIES)) % 2 else "batch"
     stages = topology_stages(topology)
-    data = _pipeline_data(trial)
-    plan = PipelineFaultPlan(seed * 1_000_003 + trial)
     orch = PipelineOrchestrator(
-        stages, pipeline_id=f"chaos-{seed}-t{trial}",
-        topology=topology, seed=seed + trial, fault_plan=plan,
-        provision_cache=cache, checkpoint_every=checkpoint_every,
-        sleep=None)
+        stages, pipeline_id=pipeline_id, topology=topology, seed=seed,
+        fault_plan=plan, provision_cache=cache, checkpoint_every=25,
+        rekey_every=rekey_every, sleep=None)
     if mode == "stream":
-        run = orch.run_streaming(data, chunk_size=chunk_size,
-                                 window=window)
+        run = orch.run_streaming(data, chunk_size=chunk_size, window=2)
         oracle, _ = serial_oracle(stages, data, chunk_size=chunk_size,
                                   provision_cache=cache)
     else:
         run = orch.run(data)
-        oracle, _ = serial_oracle(stages, data,
-                                  provision_cache=cache)
+        oracle, _ = serial_oracle(stages, data, provision_cache=cache)
     identical = bool(run.ok and run.output == oracle)
-    midrun = sum(1 for label in plan.all_injected()
-                 if "midrun_teardown" in label)
+    faults = plan.all_injected() if plan is not None else []
     row = {
-        "trial": trial,
         "topology": topology,
         "mode": mode,
         "status": run.status,
         "identical": identical,
         "chain_verified": bool(run.chain_verified),
         "chunks": run.chunks,
-        "upstream_excess": run.upstream_reruns,
         "output_sha256": hashlib.sha256(run.output).hexdigest(),
-        "counters": {k: v for k, v in sorted(run.counters.items())},
+        "counters": dict(
+            sorted(run.counters.items()),
+            lost=int(not run.ok),
+            corrupt=int(run.ok and not identical),
+            upstream_excess=run.upstream_reruns,
+            midrun_teardowns=sum(1 for label in faults
+                                 if "midrun_teardown" in label)),
         "stats": run.stats.as_dict(),
-        "midrun_teardowns": midrun,
-        "faults": plan.all_injected(),
+        "faults": faults,
     }
     return row, run
 
 
-def run_pipeline_campaign(seed: int = 2021, trials: int = 6, *,
-                          chunk_size: int = 24, window: int = 2,
-                          checkpoint_every: int = 25) -> dict:
-    """Drive ``trials`` faulted pipelines (alternating topology and
-    batch/stream mode) and return a deterministic JSON-ready report.
+# -- the chaos engine (``repro chaos``) -------------------------------------
 
-    Invariants the report asserts (and ``repro chaos --pipeline``
-    enforces):
+#: Error kinds that must never show up among *retried* errors — a
+#: campaign that retried one of these has broken the fail-closed rule.
+NEVER_RETRY = ("PolicyViolation", "VerificationError",
+               "AttestationError", "RetryBudgetExceeded",
+               "RollbackError", "DeadlineExceeded",
+               "ProvenanceError")
 
-    * **zero lost** — every pipeline completes ``ok`` despite wire
-      faults, transient ECall failures, mid-hop teardowns, outages,
-      handoff attacks, stalls and quarantines;
-    * **zero accepted attacks** — no doctored handoff (corrupt bytes,
-      spliced / reordered / truncated / replayed chain) is ever
-      accepted by chain verification;
-    * **byte-identical** — every chain-verified output equals the
-      unfaulted serial oracle's, per trial;
-    * **resume-at-hop** — every mid-hop teardown is recovered by
-      checkpoint resume at that hop: ``upstream_excess`` (completed
-      runs beyond one per hop per chunk, net of explicit
-      discard-reruns) is zero everywhere;
-    * **byte-identical replay** — re-running trial 0 from the same
-      seed serializes to the exact same row.
+#: Row counters that must be zero in every trial of every scope: runs
+#: lost (never completed, or a retry budget exhausted), corrupt results
+#: (completed but not the expected / oracle output), doctored handoffs
+#: accepted, and upstream hops re-executed by downstream recovery.
+ZERO_COUNTERS = ("lost", "corrupt", "attacks_accepted",
+                 "upstream_excess")
+
+
+def _host_trial(seed: int, trial: int, cache: ProvisionCache, *,
+                mid_run: bool) -> Tuple[dict, SessionStats]:
+    """One faulted two-party flow on its own bootstrap and host.
+
+    With ``mid_run`` the run is checkpointed and the plan additionally
+    tears the enclave down *mid-execution*, flushes its translated
+    code, corrupts relayed checkpoint chains and replays stale ones.
+    Status: ``ok``; ``violation`` (a policy trapped, e.g. P6 detecting
+    an injected AEX storm — the defense engaged, never retried);
+    ``corrupt`` (completed with a wrong result); or
+    ``aborted:<Error>`` (a fatal class or an exhausted retry budget).
     """
-    from .resilient import SessionStats
-    cache = ProvisionCache()
-    campaign_stats = SessionStats()
-    rows = []
-    totals = {
-        "ok": 0, "lost": 0, "identical": 0,
-        "handoffs_rejected": 0, "chain_attacks_rejected": 0,
-        "attacks_accepted": 0, "discard_reruns": 0,
-        "migrations": 0, "stalls": 0, "midrun_teardowns": 0,
-        "resumes": 0, "upstream_excess": 0, "faults_injected": 0,
+    data = bytes(range(16))
+    expected_sum = sum(data)
+    policies = PolicySet.full()
+    plan = FaultPlan(seed * 1_000_003 + trial, mid_run=mid_run)
+    boot = BootstrapEnclave(policies=policies, aex_threshold=25,
+                            provision_cache=cache)
+    host = FaultyHost(CCaaSHost(boot, AttestationService()), plan)
+    provider = CodeProvider(CAMPAIGN_SRC, policies)
+    owner = DataOwner(data=data)
+    owner.approved_hashes.append(hashlib.sha256(provider.build()).digest())
+    workflow = TwoPartyWorkflow(
+        host, provider, owner,
+        retry=RetryPolicy(max_attempts=plan.max_faults + 2,
+                          seed=seed + trial))
+    try:
+        outcome, plaintext = workflow.execute(
+            **({"checkpoint_every": 25} if mid_run else {}))
+        if outcome.ok:
+            good = (plaintext == [bytes([expected_sum % 256])]
+                    and outcome.reports == [expected_sum])
+            status = "ok" if good else "corrupt"
+        else:
+            status = outcome.status
+    except ReproError as exc:   # fatal classes + exhausted budgets
+        status = f"aborted:{type(exc).__name__}"
+    stats = workflow.combined_stats()
+    row = {
+        "status": status,
+        "audit_chain_ok": boot.audit.verify_chain(),
+        "counters": {
+            "lost": int(status == "aborted:RetryBudgetExceeded"),
+            "corrupt": int(status == "corrupt"),
+            "audit_recoveries": boot.audit.count("recovered"),
+            "smc_flushes": sum(1 for label in plan.injected
+                               if label.startswith("midrun_smc")),
+        },
+        "stats": stats.as_dict(),
+        "faults": list(plan.injected),
     }
+    return row, stats
+
+
+def _fleet_trial(seed: int, trial: int,
+                 cache: ProvisionCache) -> Tuple[dict, SessionStats]:
+    """One fleet campaign seeded ``seed + trial``: twelve sessions
+    across three tenants on four drones (every fourth a long
+    checkpointed job, so kill/preempt/migrate actually runs), a
+    :class:`FleetFaultPlan` firing before every supervision tick.  The
+    fleet verifies through its own shared provision cache."""
+    seed += trial
+    scheduler = FleetScheduler(build_fleet(4), seed=seed)
+    plan = FleetFaultPlan(seed)
+    arrivals = []
+    for index in range(12):
+        data = bytes((seed + index + offset) % 251
+                     for offset in range(8 + index % 5))
+        job, want = fleet_job(f"job-{index}", f"tenant-{index % 3}",
+                              data, long=index % 4 == 3)
+        arrivals.append((0, job, want))
+    corrupt = drive_fleet(scheduler, arrivals, max_ticks=300,
+                          before_tick=plan.apply_tick)
+    row = scheduler.report()
+    row["counters"].update(lost=len(row["lost"]), corrupt=len(corrupt))
+    row.update(status="corrupt" if corrupt else
+               "lost" if row["lost"] else "ok",
+               corrupt=corrupt, faults=list(plan.injected))
+    stats = SessionStats()
+    for tenant_stats in scheduler.tenant_stats().values():
+        stats.merge(tenant_stats)
+    return row, stats
+
+
+def _pipeline_chaos_trial(seed: int, trial: int, cache: ProvisionCache
+                          ) -> Tuple[dict, SessionStats]:
+    """One faulted pipeline; trials alternate topology, then
+    batch/stream mode."""
+    mode = "stream" if (trial // len(TOPOLOGIES)) % 2 else "batch"
+    row, run = pipeline_trial(
+        TOPOLOGIES[trial % len(TOPOLOGIES)], mode, pipeline_data(trial),
+        plan=PipelineFaultPlan(seed * 1_000_003 + trial),
+        pipeline_id=f"chaos-{seed}-t{trial}", seed=seed + trial,
+        cache=cache, chunk_size=24)
+    return row, run.stats
+
+
+#: scope -> (trial function, default trial count).
+SCOPES: Dict[str, Tuple[Callable, int]] = {
+    "host": (functools.partial(_host_trial, mid_run=False), 20),
+    "mid-run": (functools.partial(_host_trial, mid_run=True), 20),
+    "fleet": (_fleet_trial, 1),
+    "pipeline": (_pipeline_chaos_trial, 6),
+}
+
+
+def run_chaos(scope: str, seed: int = 2021,
+              trials: Optional[int] = None) -> dict:
+    """Run ``trials`` seeded trials of ``scope`` (see :data:`SCOPES`);
+    return a deterministic JSON-ready report.
+
+    Every trial returns one deterministic row.  The engine merges the
+    rows' :class:`~repro.service.resilient.SessionStats`, sums their
+    ``counters`` into ``totals``, re-runs trial 0 on a fresh provision
+    cache and demands a byte-identical row, and applies the shared
+    invariants: no :data:`ZERO_COUNTERS` counter is non-zero in any
+    trial, no :data:`NEVER_RETRY` kind was retried, and the replay
+    matched.  Each broken invariant is one entry of ``violations``.
+    Only typed (:class:`~repro.errors.ReproError`) failures become a
+    trial status; anything else propagates and fails the campaign.
+    The host and pipeline trials share one provision cache, so every
+    re-delivery after a program's first verified provisioning is a
+    cache replay (``provision_cache`` in the report).
+    """
+    trial_fn, default_trials = SCOPES[scope]
+    trials = default_trials if trials is None else trials
+    if trials < 1:
+        raise ValueError("a chaos campaign needs at least one trial")
+    cache = ProvisionCache()
+    stats = SessionStats()
+    rows = []
     for trial in range(trials):
-        row, run = _pipeline_trial(
-            seed, trial, cache, chunk_size=chunk_size, window=window,
-            checkpoint_every=checkpoint_every)
-        rows.append(row)
-        campaign_stats.merge(run.stats)
-        totals["ok"] += int(run.ok)
-        totals["lost"] += int(not run.ok)
-        totals["identical"] += int(row["identical"])
-        totals["handoffs_rejected"] += \
-            run.counters["handoffs_rejected"]
-        totals["chain_attacks_rejected"] += \
-            run.counters["chain_attacks_rejected"]
-        totals["attacks_accepted"] += run.counters["attacks_accepted"]
-        totals["discard_reruns"] += run.counters["discard_reruns"]
-        totals["migrations"] += run.counters["migrations"]
-        totals["stalls"] += run.counters["stalls"]
-        totals["midrun_teardowns"] += row["midrun_teardowns"]
-        totals["resumes"] += run.stats.resumes
-        totals["upstream_excess"] += row["upstream_excess"]
-        totals["faults_injected"] += len(row["faults"])
-    replay_row, _ = _pipeline_trial(
-        seed, 0, ProvisionCache(), chunk_size=chunk_size,
-        window=window, checkpoint_every=checkpoint_every)
-    import json as _json
-    replay_identical = _json.dumps(replay_row, sort_keys=True) == \
-        _json.dumps(rows[0], sort_keys=True)
+        row, trial_stats = trial_fn(seed, trial, cache)
+        rows.append({"trial": trial, **row})
+        stats.merge(trial_stats)
+    replay, _ = trial_fn(seed, 0, ProvisionCache())
+    replay_identical = json.dumps({"trial": 0, **replay}, sort_keys=True) \
+        == json.dumps(rows[0], sort_keys=True)
+
+    totals = Counter(faults_injected=sum(len(row["faults"])
+                                         for row in rows))
+    for row in rows:
+        totals.update(row["counters"])
+    violations = []
+    for key in ZERO_COUNTERS:
+        hit = [row["trial"] for row in rows if row["counters"].get(key)]
+        if hit:
+            violations.append(f"{key}: {totals[key]} in trials {hit}")
+    retried = sorted(kind for kind in stats.retried_kinds
+                     if kind in NEVER_RETRY)
+    if retried:
+        violations.append(f"fatal classes retried: {', '.join(retried)}")
+    if not replay_identical:
+        violations.append("replay: re-running trial 0 from the same "
+                          "seed produced a different row")
     return {
-        "schema": "deflection-pipeline-chaos/1",
+        "schema": "deflection-chaos/2",
+        "scope": scope,
         "seed": seed,
         "trials": trials,
-        "totals": totals,
-        "zero_lost": totals["lost"] == 0,
-        "all_identical": totals["identical"] == trials,
-        "zero_attacks_accepted": totals["attacks_accepted"] == 0,
-        "zero_upstream_excess": totals["upstream_excess"] == 0,
-        "replay_identical": replay_identical,
-        "retried_error_kinds": dict(
-            sorted(campaign_stats.retried_kinds.items())),
-        "fatal_error_kinds": dict(
-            sorted(campaign_stats.fatal_kinds.items())),
+        "statuses": dict(sorted(Counter(row["status"]
+                                        for row in rows).items())),
+        "totals": dict(sorted(totals.items())),
+        "stats": stats.as_dict(),
         "provision_cache": cache.stats(),
+        "replay_identical": replay_identical,
+        "violations": violations,
         "trials_detail": rows,
     }

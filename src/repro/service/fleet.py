@@ -36,7 +36,7 @@ the session's.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from ..core.bootstrap import BootstrapEnclave, ProvisionCache
 from ..errors import EnclaveTeardown
@@ -51,81 +51,33 @@ QUARANTINED = "quarantined"
 
 
 class FleetHost(CCaaSHost):
-    """Host front door for one drone, with fleet-grade fault hooks.
+    """Host front door for one drone, with a fleet-grade fault hook.
 
     ``ensure_alive`` never recovers: a dead enclave stays dead until
-    the supervisor decides to replace it (see module docstring).  The
-    two chaos hooks mirror :class:`~repro.service.faults.FaultyHost`
-    mechanics at fleet granularity:
-
-    * :meth:`fail_pings` makes the next ``n`` heartbeats raise — an
-      unresponsive-but-alive drone (an AEX storm, a wedged host
-      thread), the signal that drives quarantine;
-    * :meth:`arm_kill` schedules a one-shot teardown ``k`` instructions
-      into the next *checkpointed* run, realized cooperatively at a
-      safe point — the mid-fleet drone kill that drives failover.
+    the supervisor decides to replace it (see module docstring).
+    :meth:`fail_pings` makes the next ``n`` heartbeats raise — an
+    unresponsive-but-alive drone (an AEX storm, a wedged host thread),
+    the signal that drives quarantine.  The mid-fleet drone kill that
+    drives failover is the inherited
+    :meth:`~repro.service.protocol.CCaaSHost.arm_kill`.
     """
 
     def __init__(self, bootstrap: BootstrapEnclave,
                  attestation_service: AttestationService):
         super().__init__(bootstrap, attestation_service)
         self._pings_to_fail = 0
-        self._kill_after_steps: Optional[int] = None
 
     def ensure_alive(self) -> bool:
         return False
 
-    # -- chaos hooks ----------------------------------------------------
-
     def fail_pings(self, n: int) -> None:
         self._pings_to_fail += n
-
-    def arm_kill(self, after_steps: int) -> None:
-        self._kill_after_steps = after_steps
-
-    @property
-    def kill_armed(self) -> bool:
-        return self._kill_after_steps is not None
 
     def ecall_ping(self):
         if self._pings_to_fail > 0:
             self._pings_to_fail -= 1
             raise EnclaveTeardown("drone unresponsive (injected storm)")
         return super().ecall_ping()
-
-    def _arm(self, kwargs: dict) -> dict:
-        """Compose the armed kill into the run's interrupt hook (after
-        any scheduler-installed quantum closure, so a kill that lands
-        inside a quantum still fires)."""
-        if self._kill_after_steps is None or \
-                kwargs.get("checkpoint_every") is None:
-            return kwargs
-        k = self._kill_after_steps
-        self._kill_after_steps = None
-        enclave_ref = self.bootstrap
-        inner = kwargs.get("interrupt")
-        start = None
-
-        def interrupt(cpu):
-            nonlocal start
-            if inner is not None:
-                inner(cpu)
-            if start is None or cpu.steps < start:
-                start = cpu.steps
-            if cpu.steps - start >= k:
-                enclave_ref.enclave.destroy()
-                raise EnclaveTeardown(
-                    f"drone killed mid-run at step {cpu.steps}")
-
-        kwargs = dict(kwargs)
-        kwargs["interrupt"] = interrupt
-        return kwargs
-
-    def ecall_run(self, **kwargs):
-        return super().ecall_run(**self._arm(kwargs))
-
-    def ecall_resume(self, blobs, **kwargs):
-        return super().ecall_resume(blobs, **self._arm(kwargs))
 
 
 class Drone:

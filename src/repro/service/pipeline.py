@@ -51,7 +51,7 @@ import hashlib
 from collections import deque
 from dataclasses import dataclass, field
 from time import perf_counter
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from ..core.bootstrap import BootstrapEnclave, P0Config, ProvisionCache
 from ..core.checkpoint import Watchdog
@@ -60,8 +60,8 @@ from ..core.provenance import (
     verify_links,
 )
 from ..errors import (
-    DeadlineExceeded, EnclaveTeardown, HopFailed, PipelineStalled,
-    ProvenanceError, RetryBudgetExceeded,
+    DeadlineExceeded, HopFailed, PipelineStalled, ProvenanceError,
+    RetryBudgetExceeded,
 )
 from ..policy.policies import PolicySet
 from ..sgx.attestation import AttestationService
@@ -221,9 +221,6 @@ class _StageRuntime:
             from .faults import FaultyHost
             host = FaultyHost(host, fault_plan.hop_plan(hop),
                               record_size=record_size)
-            self.hop_plan = host.plan
-        else:
-            self.hop_plan = None
         self.host = host
         self.provider = CodeProvider(
             stage.source, policies, name=f"provider-{stage.name}")
@@ -261,7 +258,6 @@ class HopRecord:
     stalls: int = 0
     migrations: int = 0
     discard_reruns: int = 0
-    boundary_teardowns: int = 0
     wall_s: float = 0.0
     #: Stats of workflows retired by a migration (merged at finalize).
     archived: SessionStats = field(default_factory=SessionStats)
@@ -273,7 +269,6 @@ class HopRecord:
             "expected_runs": self.expected_runs,
             "stalls": self.stalls, "migrations": self.migrations,
             "discard_reruns": self.discard_reruns,
-            "boundary_teardowns": self.boundary_teardowns,
             "stats": self.stats.as_dict(),
         }
 
@@ -384,10 +379,7 @@ class PipelineOrchestrator:
                  sleep: Optional[Callable[[float], None]] = None,
                  max_stalls: int = 3,
                  max_migrations: int = 2,
-                 rekey_every: Optional[int] = None,
-                 interrupt_at: Optional[Dict[int, int]] = None,
-                 teardown_before: Optional[Set[int]] = None,
-                 raise_errors: bool = False):
+                 rekey_every: Optional[int] = None):
         if not stages:
             raise ValueError("a pipeline needs at least one stage")
         self.stages = list(stages)
@@ -408,9 +400,6 @@ class PipelineOrchestrator:
         self.max_stalls = max_stalls
         self.max_migrations = max_migrations
         self.rekey_every = rekey_every
-        self.interrupt_at = dict(interrupt_at or {})
-        self.teardown_before = set(teardown_before or ())
-        self.raise_errors = raise_errors
         if retry is None:
             attempts = 6
             if fault_plan is not None:
@@ -432,14 +421,12 @@ class PipelineOrchestrator:
         #: (chunk, hop) -> the verified input bytes of that hop — what
         #: a discard-and-rerun re-feeds the producer.
         self._inputs: Dict[Tuple[int, int], bytes] = {}
-        self._interrupts_fired: Set[int] = set()
-        self._teardowns_fired: Set[int] = set()
         self._last_outcome = None
         self.counters: Dict[str, int] = {
             "links": 0, "handoffs_rejected": 0,
             "chain_attacks_rejected": 0, "attacks_accepted": 0,
             "discard_reruns": 0, "migrations": 0, "stalls": 0,
-            "rekeys": 0, "boundary_teardowns": 0,
+            "rekeys": 0,
         }
 
     def _platform_seed(self, hop: int, generation: int) -> bytes:
@@ -499,39 +486,12 @@ class PipelineOrchestrator:
             detail=f"{old.platform_id[:12]} -> "
                    f"{fresh.platform_id[:12]}: {reason}")
 
-    def _scripted_interrupt(self, hop: int):
-        """Test hook: one-shot mid-hop teardown after N steps."""
-        steps = self.interrupt_at.get(hop)
-        if steps is None or hop in self._interrupts_fired:
-            return None
-
-        def interrupt(cpu):
-            if hop in self._interrupts_fired:
-                return
-            if cpu.steps >= steps:
-                self._interrupts_fired.add(hop)
-                self.runtimes[hop].boot.enclave.destroy()
-                raise EnclaveTeardown(
-                    f"scripted mid-hop teardown at hop {hop}, "
-                    f"step {cpu.steps}")
-        return interrupt
-
     # -- the per-hop engine -----------------------------------------------
 
     def _execute_hop(self, hop: int, data: bytes, chunk: int,
                      chain: ProvenanceChain) -> bytes:
         stage = self.stages[hop]
         record = self.hops[hop]
-        if hop in self.teardown_before and \
-                hop not in self._teardowns_fired:
-            # Hop-boundary teardown: the platform killed the enclave
-            # between hops.  Nothing mid-run is lost; the workflow's
-            # ensure_alive + re-attest + cached re-provision recovers.
-            self._teardowns_fired.add(hop)
-            if not self.runtimes[hop].boot.enclave.destroyed:
-                self.runtimes[hop].boot.enclave.destroy()
-            record.boundary_teardowns += 1
-            self.counters["boundary_teardowns"] += 1
         stall_budget = None
         if self.fault_plan is not None:
             stall_budget = self.fault_plan.draw_stall(hop)
@@ -548,9 +508,6 @@ class PipelineOrchestrator:
             kwargs = {"checkpoint_every": self.checkpoint_every}
             if budget is not None:
                 kwargs["watchdog"] = Watchdog(max_steps=budget)
-            interrupt = self._scripted_interrupt(hop)
-            if interrupt is not None:
-                kwargs["interrupt"] = interrupt
             try:
                 outcome, plaintexts = rt.workflow.execute(
                     initial_checkpoints=checkpoints, **kwargs)
@@ -704,9 +661,6 @@ class PipelineOrchestrator:
             run.chunk_latencies = [perf_counter() - began]
         except (HopFailed, PipelineStalled) as exc:
             self._note_failure(run, exc)
-            if self.raise_errors:
-                self._finalize(run, {-1: chain}, {}, began)
-                raise
         run.wall_s = perf_counter() - began
         self._finalize(run, {-1: chain},
                        {-1: (data, run.output)} if run.ok else {},
@@ -765,9 +719,6 @@ class PipelineOrchestrator:
                 self._arm_rekey()
         except (HopFailed, PipelineStalled) as exc:
             self._note_failure(run, exc)
-            if self.raise_errors:
-                self._finalize(run, chains, {}, began)
-                raise
         if run.ok:
             run.output = b"".join(results[i]
                                   for i in range(len(pieces)))

@@ -10,16 +10,46 @@ from the shared secret and the handshake transcript.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional, Union
 
 from ..core.bootstrap import BootstrapEnclave
 from ..crypto.channel import SecureChannel, derive_channel_keys
 from ..crypto.dh import DHKeyPair
-from ..errors import AttestationError, ProtocolError
+from ..errors import AttestationError, EnclaveTeardown, ProtocolError
 from ..sgx.attestation import (
     AttestationService, check_attestation_report,
 )
+
+
+def after_steps(k: int, fire: Callable[[object], None],
+                inner: Optional[Callable[[object], None]] = None):
+    """Run-interrupt hook that calls ``fire(cpu)`` once, when ``k``
+    instructions have retired since the run started.
+
+    The hook is polled at checkpoint safe points, so ``fire`` lands at
+    the first safe point past ``k`` (the simulator cannot interrupt
+    the VM asynchronously).  A step counter that moves backwards — the
+    same hook reused by a retried run that resumes from an earlier
+    checkpoint — restarts the count.  ``inner``, an interrupt the
+    caller already installed, is polled first on every call.
+    """
+    start = None
+    fired = False
+
+    def interrupt(cpu):
+        nonlocal start, fired
+        if inner is not None:
+            inner(cpu)
+        if fired:
+            return
+        if start is None or cpu.steps < start:
+            start = cpu.steps
+        if cpu.steps - start >= k:
+            fired = True
+            fire(cpu)
+
+    return interrupt
 
 
 @dataclass
@@ -32,6 +62,8 @@ class CCaaSHost:
 
     bootstrap: BootstrapEnclave
     attestation_service: AttestationService
+    _kill_after_steps: Optional[int] = field(default=None, init=False,
+                                             repr=False)
 
     def __post_init__(self):
         platform = self.bootstrap.enclave.platform
@@ -48,15 +80,41 @@ class CCaaSHost:
         return self.bootstrap.enclave.ecall(
             "ecall_receive_userdata", data, encrypted=encrypted)
 
+    def arm_kill(self, steps: int) -> None:
+        """Kill the enclave ``steps`` instructions into the next
+        *checkpointed* run (one-shot), realized at a safe point — the
+        host tearing the enclave down mid-run, which the workflow
+        recovers by resuming from the sealed chain."""
+        self._kill_after_steps = steps
+
+    def _arm(self, kwargs: dict) -> dict:
+        """Compose an armed kill into the run's interrupt hook, after
+        any interrupt the caller installed (so a kill that lands inside
+        a scheduler quantum still fires)."""
+        k = self._kill_after_steps
+        if k is None or kwargs.get("checkpoint_every") is None:
+            return kwargs
+        self._kill_after_steps = None
+        bootstrap = self.bootstrap
+
+        def kill(cpu):
+            bootstrap.enclave.destroy()
+            raise EnclaveTeardown(
+                f"enclave killed mid-run at step {cpu.steps}")
+
+        return dict(kwargs,
+                    interrupt=after_steps(k, kill, kwargs.get("interrupt")))
+
     def ecall_run(self, **kwargs):
-        return self.bootstrap.enclave.ecall("ecall_run", **kwargs)
+        return self.bootstrap.enclave.ecall("ecall_run",
+                                            **self._arm(kwargs))
 
     def ecall_resume(self, blobs, **kwargs):
         """Relay a sealed checkpoint chain back into the enclave.  The
         host merely stores and forwards the blobs; the enclave
         authenticates them against the platform monotonic counter."""
         return self.bootstrap.enclave.ecall("ecall_resume", blobs,
-                                            **kwargs)
+                                            **self._arm(kwargs))
 
     def ecall_ping(self):
         """Cheap liveness probe used by the fleet supervisor: answers

@@ -60,6 +60,7 @@ from ..errors import (
 )
 from ..policy.policies import PolicySet
 from .fleet import Drone, QUARANTINED, READY
+from .protocol import after_steps
 from .resilient import RetryPolicy, SessionStats, TwoPartyWorkflow
 from .roles import CodeProvider, DataOwner
 
@@ -366,23 +367,6 @@ class FleetScheduler:
                 continue
             self._dispatch(job, drone)
 
-    def _quantum_interrupt(self, job: SessionJob, drone: Drone):
-        if job.quantum_steps is None:
-            return None
-        quantum = job.quantum_steps
-        start = None
-
-        def interrupt(cpu):
-            nonlocal start
-            if start is None or cpu.steps < start:
-                start = cpu.steps
-            if cpu.steps - start >= quantum:
-                raise SessionPreempted(
-                    f"quantum of {quantum} steps expired on "
-                    f"{drone.einit_id}")
-
-        return interrupt
-
     def _dispatch(self, job: SessionJob, drone: Drone) -> None:
         job.state = "running"
         job.dispatches += 1
@@ -409,9 +393,15 @@ class FleetScheduler:
         run_kwargs: Dict[str, object] = {"max_steps": job.max_steps}
         if job.checkpoint_every is not None:
             run_kwargs["checkpoint_every"] = job.checkpoint_every
-        interrupt = self._quantum_interrupt(job, drone)
-        if interrupt is not None:
-            run_kwargs["interrupt"] = interrupt
+        if job.quantum_steps is not None:
+            quantum = job.quantum_steps
+
+            def preempt(cpu):
+                raise SessionPreempted(
+                    f"quantum of {quantum} steps expired on "
+                    f"{drone.einit_id}")
+
+            run_kwargs["interrupt"] = after_steps(quantum, preempt)
         self._event("dispatched", job=job.job_id,
                     drone=drone.drone_id, einit=drone.einit_id,
                     resuming=resuming)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from ..errors import AttestationError, AttestationOutage
+from ..errors import AttestationError
 from ..crypto.sig import SigningKey, VerifyingKey
 from .quote import Quote
 
@@ -57,7 +57,6 @@ class AttestationService:
     def __init__(self, seed: bytes = b"ias-service"):
         self._key = SigningKey(seed)
         self._platforms = {}
-        self._outage_remaining = 0
 
     @property
     def verifying_key(self) -> VerifyingKey:
@@ -68,18 +67,8 @@ class AttestationService:
                            key: VerifyingKey) -> None:
         self._platforms[bytes(platform_id)] = key
 
-    def schedule_outage(self, calls: int = 1) -> None:
-        """Fail the next ``calls`` quote verifications with
-        :class:`AttestationOutage` — a maintenance window / network
-        partition model for resilience testing."""
-        self._outage_remaining = max(0, int(calls))
-
     def verify_quote(self, quote_bytes: bytes) -> AttestationReport:
         """Verify a serialized quote and return a signed report."""
-        if self._outage_remaining > 0:
-            self._outage_remaining -= 1
-            raise AttestationOutage(
-                "attestation service unavailable (scheduled outage)")
         quote = Quote.parse(quote_bytes)
         platform_key = self._platforms.get(bytes(quote.platform_id))
         if platform_key is None:

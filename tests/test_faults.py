@@ -1,7 +1,5 @@
 """Fault-injection framework: channel hardening, teardown/recovery,
-deterministic fault plans, and the chaos campaign."""
-
-import json
+deterministic fault plans, and the chaos engine."""
 
 import pytest
 
@@ -10,7 +8,7 @@ from repro.crypto.channel import SecureChannel
 from repro.errors import EnclaveTeardown, ProtocolError
 from repro.policy import PolicySet
 from repro.service import CCaaSHost, CodeProvider, DataOwner, FaultPlan
-from repro.service.faults import CAMPAIGN_SRC, run_campaign
+from repro.service.faults import CAMPAIGN_SRC, NEVER_RETRY, run_chaos
 from repro.service.protocol import establish_session
 from repro.sgx import AttestationService
 from repro.vm.interrupts import AexSchedule
@@ -177,16 +175,60 @@ def test_fault_plan_budget_caps_injections():
     assert plan.mangle_wire(wire, 288) == (wire, None)
 
 
-def test_campaign_is_deterministic_and_fully_recovers():
-    a = run_campaign(seed=5, trials=3)
-    b = run_campaign(seed=5, trials=3)
-    assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
-    assert a["schema"] == "deflection-chaos/1"
-    assert a["totals"]["unrecovered"] == 0
-    assert a["totals"]["fatal_errors"] == 0
-    assert not a["fatal_error_kinds"]
-    # every trial kept a verifiable audit chain
-    assert all(t["audit_chain_ok"] for t in a["trials_detail"])
-    # trials share the provision cache: only the first one verifies
-    assert a["provision_cache"]["misses"] == 1
-    assert a["provision_cache"]["hits"] >= 2
+#: scope -> (seed, trials, a label some injected fault must contain,
+#: provision-cache misses: one per distinct program the trials run).
+CHAOS_SCOPES = {
+    "host": (5, 3, "", 1),
+    "mid-run": (11, 4, "midrun_teardown", 1),
+    "fleet": (11, 1, "", 0),
+    "pipeline": (7, 2, "hop", 7),
+}
+
+
+@pytest.mark.parametrize("scope", sorted(CHAOS_SCOPES))
+def test_chaos_scope_holds_shared_invariants(scope):
+    seed, trials, label, misses = CHAOS_SCOPES[scope]
+    report = run_chaos(scope, seed=seed, trials=trials)
+    assert report["schema"] == "deflection-chaos/2"
+    assert report["scope"] == scope
+    assert report["violations"] == [], report["violations"]
+    assert report["replay_identical"]
+    rows = report["trials_detail"]
+    assert [row["trial"] for row in rows] == list(range(trials))
+    faults = [label for row in rows for label in row["faults"]]
+    assert report["totals"]["faults_injected"] == len(faults) >= 1
+    assert any(label in fault for fault in faults)
+    assert not any(status.startswith("aborted")
+                   for status in report["statuses"])
+    if scope == "host":
+        assert report["stats"]["fatal_kinds"] == {}
+    # Every admitted fleet job reached a terminal state (0 == 0 for the
+    # scopes without a scheduler).
+    totals = report["totals"]
+    assert totals.get("completed", 0) + totals.get("aborted", 0) \
+        == totals.get("admitted", 0)
+    # Every host trial kept a verifiable audit chain.
+    assert all(row.get("audit_chain_ok", True) for row in rows)
+    # Trials share the provision cache: each program verifies once,
+    # every later delivery is a replay.
+    assert report["provision_cache"]["misses"] == misses
+    if misses:
+        assert report["provision_cache"]["hits"] >= 2
+
+
+def test_never_retry_lists_rollback_and_deadline():
+    assert "RollbackError" in NEVER_RETRY
+    assert "DeadlineExceeded" in NEVER_RETRY
+
+
+def test_untyped_trial_crash_fails_the_campaign(monkeypatch):
+    """Only typed errors become a trial status: an untyped crash inside
+    a trial fails the command instead of passing as ``aborted``."""
+    from repro.cli import main
+
+    def crash(self, outcome):
+        raise KeyError("decrypt_results")
+
+    monkeypatch.setattr(DataOwner, "decrypt_results", crash)
+    with pytest.raises(KeyError):
+        main(["chaos", "--seed", "2021", "--trials", "3"])

@@ -7,7 +7,7 @@ from repro.bench.store import records_from_doc
 from repro.errors import AdmissionRejected
 from repro.service import FleetScheduler, SessionJob, build_fleet
 from repro.service.faults import (
-    CAMPAIGN_SRC, FLEET_LONG_ROUNDS, FLEET_LONG_SRC, run_fleet_campaign,
+    CAMPAIGN_SRC, FLEET_LONG_ROUNDS, FLEET_LONG_SRC,
 )
 from repro.service.fleet import QUARANTINED
 
@@ -230,19 +230,6 @@ def test_stale_pin_discards_chain_and_reruns_elsewhere():
     assert "drone-1#e0" in job.einits
 
 
-# -- chaos campaign -----------------------------------------------------------
-
-def test_fleet_campaign_zero_lost_and_deterministic():
-    first = run_fleet_campaign(seed=11, drones=3, jobs=8, max_events=6)
-    again = run_fleet_campaign(seed=11, drones=3, jobs=8, max_events=6)
-    assert first == again
-    assert first["zero_lost"]
-    assert first["lost"] == []
-    assert first["corrupt"] == []
-    assert first["counters"]["completed"] + first["counters"]["aborted"] \
-        == first["counters"]["admitted"]
-
-
 # -- bench + store ingestion --------------------------------------------------
 
 def test_fleet_bench_doc_and_store_ingestion(tmp_path):
@@ -270,12 +257,12 @@ def test_fleet_bench_doc_and_store_ingestion(tmp_path):
     assert tenants == {"tenant-0", "tenant-1"}
 
 
-def test_cli_chaos_fleet_exits_zero(capsys, tmp_path):
+def test_cli_fleet_scope_exits_zero(capsys, tmp_path):
     from repro.cli import main
     out = tmp_path / "fleet_chaos.json"
     code = main(["chaos", "--fleet", "--seed", "5", "-o", str(out)])
     assert code == 0
     assert out.exists()
     text = capsys.readouterr().out
-    assert "fleet chaos seed=5" in text
-    assert "LOST" not in text
+    assert "chaos fleet seed=5" in text
+    assert "VIOLATION" not in text

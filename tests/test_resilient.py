@@ -160,8 +160,10 @@ def test_teardown_recovered_with_audit_continuity():
 
 
 def test_attestation_outage_retried():
-    host = _host()
-    host.attestation_service.schedule_outage(calls=2)
+    quiet = FaultPlan(1, p_wire=0.0, p_transient=0.0, p_teardown=0.0,
+                      p_outage=0.0, p_storm=0.0)
+    host = FaultyHost(_host(), quiet)
+    host.attestation_service.outages = 2
     wf = _workflow(host, retry=RetryPolicy(max_attempts=5, seed=1))
     outcome, _ = wf.execute()
     assert outcome.ok
@@ -264,7 +266,7 @@ def test_cli_chaos_smoke(capsys):
     from repro.cli import main
     assert main(["chaos", "--seed", "2021", "--trials", "2"]) == 0
     out = capsys.readouterr().out
-    assert "deflection-chaos/1" in out
+    assert "deflection-chaos/2" in out
     assert "no fatal class retried" in out
 
 
