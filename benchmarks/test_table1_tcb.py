@@ -27,7 +27,7 @@ def _build_table():
         measured["Loader/Verifier"].kloc)
     for i, comp in enumerate(measured.values()):
         rows.append(["DEFLECTION (measured)" if i == 0 else "",
-                     comp.name, f"{comp.kloc:.2f}",
+                     comp.label, f"{comp.kloc:.2f}",
                      "3.5 (paper)" if i == 0 else ""])
     return rows, ours
 

@@ -712,7 +712,7 @@ def cmd_chaos(args) -> int:
 
 def cmd_tcb(args) -> int:
     from .tcb import consumer_inventory, verifier_core_loc
-    rows = [[c.name, c.loc, f"{c.kloc:.2f}"]
+    rows = [[c.label, c.loc, f"{c.kloc:.2f}"]
             for c in consumer_inventory().values()]
     print(format_table("measured DEFLECTION TCB",
                        ["component", "LoC", "kLoC"], rows))

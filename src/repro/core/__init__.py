@@ -1,8 +1,11 @@
 """The code consumer: everything inside the bootstrap enclave's TCB.
 
 This package is the paper's contribution — deliberately small (the
-paper: loader < 600 LoC, verifier < 700 LoC; `repro.tcb`
-measures ours):
+paper: loader < 600 LoC, verifier < 700 LoC).  :mod:`repro.tcb` holds
+the one list of consumer files: it counts them, and
+``bootstrap.consumer_image`` measures exactly them (the import closure
+of :mod:`bootstrap` inside ``repro.core`` and ``repro.policy``).  The
+paper's Loader/Verifier row:
 
 * :mod:`rdd` — the clipped recursive-descent disassembler (the role
   Capstone's stripped core plays in the paper);
@@ -14,6 +17,15 @@ measures ours):
   placeholders with real enclave addresses;
 * :mod:`bootstrap` — the bootstrap enclave tying it all together:
   attestation, delivery ECalls, P0 OCall wrappers, execution.
+
+Also run by the ECalls, and counted in a row the paper does not have:
+:mod:`checkpoint` (sealed checkpoints and the one run loop),
+:mod:`cache` (the provision cache), :mod:`audit` (the event hash
+chain), :mod:`outcome` (run records), :mod:`threads` (multithreaded
+runs and their P5 gate) and :mod:`tracing` (single-stepped runs).
+
+Not measured: :mod:`legacy` (the seed pipeline kept as a differential
+oracle) and :mod:`provenance` (orchestrator-side handoff chains).
 """
 
 from .rdd import DisassembledCode, recursive_descent

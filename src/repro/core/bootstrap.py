@@ -11,8 +11,9 @@ and executes the target under the P0 OCall wrappers:
 * ``__report`` (SVC 3): a 64-bit result value, also charged against the
   output budget.
 
-The bootstrap's measured image is the actual source of this package —
-"its code is public and initial state is measured by hardware".
+The bootstrap's measured image is the actual source of the consumer —
+the files :mod:`repro.tcb` counts — "its code is public and initial
+state is measured by hardware".
 """
 
 from __future__ import annotations
@@ -20,15 +21,13 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 from dataclasses import dataclass
-from pathlib import Path
 from time import perf_counter
 from typing import Dict, List, Optional
 
 from ..compiler.objfile import ObjectFile
 from ..crypto.channel import SecureChannel
 from ..errors import (
-    CpuFault, EnclaveError, MemoryFault, PolicyViolation,
-    ProtocolError, RollbackError, VerificationError,
+    EnclaveError, PolicyViolation, ProtocolError, RollbackError,
 )
 from ..policy.magic import MARKER_VALUE, VIOL_P0
 from ..policy.policies import PolicySet
@@ -36,17 +35,18 @@ from ..sgx.enclave import Enclave
 from ..sgx.layout import EnclaveConfig
 from ..sgx.memory import PAGE_SHIFT
 from ..sgx.quote import PlatformKey, Quote
+from ..tcb import consumer_files
 from ..vm.costmodel import CostModel
-from ..vm.cpu import CPU, ExecResult
+from ..vm.cpu import CPU
 from ..vm.interrupts import AexSchedule
 from .audit import AuditLog
 from .cache import PROVISION_CACHE, ProvisionCache  # noqa: F401 (re-export)
 from .checkpoint import (
-    COUNTER_LABEL, CheckpointChain, Watchdog, checkpointed_loop,
-    derive_seal_key, verify_chain,
+    COUNTER_LABEL, CheckpointChain, Watchdog, derive_seal_key, run_loop,
+    verify_chain,
 )
-from .loader import DynamicLoader, LoadedBinary, ProvisionedImage
-from .outcome import RunOutcome, _ThreadIO  # noqa: F401 (re-export)
+from .loader import DynamicLoader, LoadedBinary
+from .outcome import RunOutcome, _ThreadIO
 from .rdd import recursive_descent
 from .rewriter import ImmRewriter, build_value_map
 from .verifier import DEFAULT_ALLOWED_SVCS, PolicyVerifier, VerifiedBinary
@@ -61,18 +61,15 @@ _RDI, _RSI = 7, 6
 def consumer_image() -> bytes:
     """The public bootstrap implementation image that gets measured.
 
-    Concatenates the source files of the code consumer (this package and
-    the annotation contract), so two bootstraps running identical
-    consumer code have identical MRENCLAVE.
+    Concatenates the consumer's source files — exactly the files
+    :mod:`repro.tcb` counts, in table order, each behind its package
+    path — so two bootstraps running identical consumer code have
+    identical MRENCLAVE.
     """
-    roots = [Path(__file__).parent,
-             Path(__file__).parent.parent / "policy"]
-    chunks = []
-    for root in roots:
-        for path in sorted(root.glob("*.py")):
-            chunks.append(path.name.encode() + b"\x00" +
-                          path.read_bytes())
-    return b"\x00".join(chunks)
+    return b"\x00".join(
+        f"{path.parent.name}/{path.name}".encode() + b"\x00" +
+        path.read_bytes()
+        for path in consumer_files())
 
 
 @dataclass
@@ -325,14 +322,38 @@ class BootstrapEnclave:
 
     # -- execution -----------------------------------------------------------------
 
-    def _reset_runtime_cells(self) -> None:
+    def _open_run(self, inputs=(None,),
+                  track_dirty: bool = False) -> List[_ThreadIO]:
+        """Shared prologue of every execution ECall.
+
+        Fails unless a binary is provisioned, resets the runtime cells
+        and the P0 output budget, and returns one :class:`_ThreadIO`
+        with a fresh :class:`RunOutcome` per entry of ``inputs``
+        (``None`` stands for the staged user data).  ``track_dirty``
+        switches dirty-page tracking on first — before the CPU exists,
+        since the translator bakes the decision into its blocks — and
+        drains it, so the first checkpoint's delta starts at the
+        post-provision image and carries the runtime cells.
+        """
+        if self.loaded is None or self.verified is None:
+            raise EnclaveError("no verified binary provisioned")
         layout = self.enclave.layout
         space = self.enclave.space
+        if track_dirty:
+            space.track_dirty(True)
+            space.drain_dirty()
         space.write_raw(layout.ssp_cell,
                         layout.ss_base.to_bytes(8, "little"))
         space.write_raw(layout.ssa_marker_addr,
                         MARKER_VALUE.to_bytes(8, "little"))
         space.write_raw(layout.aex_count_cell, b"\x00" * 8)
+        self._budget = self.p0.max_output_bytes
+        return [_ThreadIO(self._input if data is None else bytes(data), 0,
+                          RunOutcome(
+                              status="ok",
+                              provision_cache_hits=self.provision_cache_hits,
+                              provision_stages=dict(self.provision_stages)))
+                for data in inputs]
 
     def _make_cpu(self, tid: int, io: "_ThreadIO", aex_schedule,
                   cost_model, reuse: bool = False) -> CPU:
@@ -381,15 +402,17 @@ class BootstrapEnclave:
         :class:`DeadlineExceeded` with the final chain attached.
         ``interrupt(cpu)``, when given, is polled at each safe point
         and may raise (the fault-injection harness models mid-run
-        teardown with it).  With none of these, this is the plain
-        single-shot run.
+        teardown with it).  With none of these the CPU runs once,
+        unsliced; either way the run goes through the one loop,
+        :func:`repro.core.checkpoint.run_loop`.
 
         ``reuse_cpu=True`` keeps the thread-0 CPU (and its translated
         block cache) across calls: a second ``run`` after restoring the
         enclave RAM image (``repro.bench.harness.snapshot_run_state``)
-        then measures warm steady-state execution.  Only honored on the
-        plain path and only when the same ``cost_model`` object is
-        passed again.
+        then measures warm steady-state execution.  Only honored when
+        no safe points are asked for (a reused CPU's blocks were
+        compiled without dirty tracking) and only when the same
+        ``cost_model`` object is passed again.
 
         ``jit_eager=True`` makes the translating executor compile
         every block on first dispatch instead of after its cold-run
@@ -397,59 +420,17 @@ class BootstrapEnclave:
         so one untimed priming run drives the block cache to its
         fixed point before a measured run.
         """
-        if self.loaded is None or self.verified is None:
-            raise EnclaveError("no verified binary provisioned")
-        checkpointing = (checkpoint_every is not None
-                         or watchdog is not None
-                         or interrupt is not None)
-        if not checkpointing:
-            self._reset_runtime_cells()
-            outcome = RunOutcome(
-                status="ok",
-                provision_cache_hits=self.provision_cache_hits,
-                provision_stages=dict(self.provision_stages))
-            io = _ThreadIO(self._input, 0, outcome)
-            self._budget = self.p0.max_output_bytes
-            cpu = self._make_cpu(0, io, aex_schedule, cost_model,
-                                 reuse=reuse_cpu)
-            cpu.jit_eager = jit_eager
-            try:
-                outcome.result = cpu.run(max_steps=max_steps)
-                self.enclave.hw_aex_count += cpu.aex_events
-            except PolicyViolation as exc:
-                outcome.status = "violation"
-                outcome.violation_code = exc.code
-                outcome.detail = str(exc)
-                outcome.result = ExecResult(cpu.steps, cpu.cycles,
-                                            cpu.rip, cpu.aex_events,
-                                            cpu.regs[0])
-            except (MemoryFault, CpuFault) as exc:
-                outcome.status = "fault"
-                outcome.detail = str(exc)
-                outcome.result = ExecResult(cpu.steps, cpu.cycles,
-                                            cpu.rip, cpu.aex_events,
-                                            cpu.regs[0])
-            outcome.jit_stats = cpu.jit_stats()
-            return self._finish_run(outcome)
-        # Checkpointed path.  Dirty tracking must be on before the CPU
-        # exists (the translator bakes the decision into its blocks);
-        # the drain resets the delta baseline to the post-provision
-        # image, which a resuming enclave reproduces via re-provision.
-        space = self.enclave.space
-        space.track_dirty(True)
-        space.drain_dirty()
-        self._reset_runtime_cells()
-        outcome = RunOutcome(status="ok",
-                             provision_cache_hits=self.provision_cache_hits,
-                             provision_stages=dict(self.provision_stages))
-        io = _ThreadIO(self._input, 0, outcome)
-        self._budget = self.p0.max_output_bytes
-        cpu = self._make_cpu(0, io, aex_schedule, cost_model)
+        safe_points = (checkpoint_every is not None
+                       or watchdog is not None or interrupt is not None)
+        [io] = self._open_run(track_dirty=safe_points)
+        cpu = self._make_cpu(0, io, aex_schedule, cost_model,
+                             reuse=reuse_cpu and not safe_points)
+        cpu.jit_eager = jit_eager
         chain = CheckpointChain(key=self._seal_key(),
-                                prev_mac=b"\x00" * 32, blobs=[])
-        return checkpointed_loop(
-            self, cpu, io, outcome, chain, max_steps, checkpoint_every,
-            watchdog, checkpoint_sink, interrupt)
+                                prev_mac=b"\x00" * 32, blobs=[]) \
+            if safe_points else None
+        return run_loop(self, cpu, io, chain, max_steps, checkpoint_every,
+                        watchdog, checkpoint_sink, interrupt)
 
     def resume(self, blobs,
                aex_schedule: Optional[AexSchedule] = None,
@@ -476,8 +457,7 @@ class BootstrapEnclave:
         run — taking further checkpoints on the same chain when
         ``checkpoint_every`` is set.
         """
-        if self.loaded is None or self.verified is None:
-            raise EnclaveError("no verified binary provisioned")
+        [io] = self._open_run(track_dirty=True)
         blobs = list(blobs)
         key = self._seal_key()
         head = self.enclave.platform.counter_read(COUNTER_LABEL)
@@ -489,7 +469,6 @@ class BootstrapEnclave:
                 "checkpoint rejected: staged user data does not match "
                 "the checkpointed input")
         space = self.enclave.space
-        space.track_dirty(True)
         base = space.enclave_base
         for payload in payloads:
             for index, data in payload.enclave_pages:
@@ -497,15 +476,13 @@ class BootstrapEnclave:
             for addr, data in payload.outside_pages:
                 space.write_page(addr, data)
         space.drain_dirty()
-        outcome = RunOutcome(status="ok",
-                             provision_cache_hits=self.provision_cache_hits,
-                             provision_stages=dict(self.provision_stages))
+        outcome = io.outcome
         outcome.reports = list(last.reports)
         outcome.sent_plaintext = [bytes(d) for d in last.sent_plaintext]
         outcome.sent_wire = [self._wire_for(d)
                              for d in outcome.sent_plaintext]
         outcome.resumed_at_step = last.cpu.steps
-        io = _ThreadIO(self._input, last.io_cursor, outcome)
+        io.cursor = last.io_cursor
         self._budget = last.budget
         cpu = self._make_cpu(0, io, aex_schedule, cost_model)
         cpu.restore(last.cpu)
@@ -513,9 +490,8 @@ class BootstrapEnclave:
                           counter=head, chain=len(blobs))
         chain = CheckpointChain(key=key, prev_mac=blobs[-1][-32:],
                                 blobs=blobs)
-        return checkpointed_loop(
-            self, cpu, io, outcome, chain, max_steps, checkpoint_every,
-            watchdog, checkpoint_sink, interrupt)
+        return run_loop(self, cpu, io, chain, max_steps, checkpoint_every,
+                        watchdog, checkpoint_sink, interrupt)
 
     def _seal_key(self) -> bytes:
         if self._provision_digest is None:
@@ -524,10 +500,6 @@ class BootstrapEnclave:
         return derive_seal_key(self.enclave.platform.seal_fuse(),
                                self.enclave.mrenclave,
                                self._provision_digest)
-
-    #: Safe-point poll granularity when only a watchdog (no
-    #: ``checkpoint_every``) asks for cooperative pauses.
-    _WATCHDOG_SLICE = 10_000
 
     def _finish_run(self, outcome: RunOutcome) -> RunOutcome:
         """Shared run epilogue: time blurring + the audit record."""

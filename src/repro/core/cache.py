@@ -1,10 +1,12 @@
 """Provision cache: verified + rewritten images keyed on inputs.
 
-Host-side plumbing, not enclave code: the cache stores the *outputs* of
-an accepted provisioning run and replays them through
-:meth:`~repro.core.loader.DynamicLoader.install_image`; nothing in it
-can accept a binary the verifier would reject, so it lives outside the
-measured consumer image's trust-critical line count.
+Part of the measured consumer: ``ecall_receive_binary`` consults the
+cache before it verifies, and a hit installs the stored image through
+:meth:`~repro.core.loader.DynamicLoader.install_image` *instead of*
+verifying.  The cache stores only the outputs of accepted provisioning
+runs, so its key (see ``BootstrapEnclave._provision_key``) is what
+stands between a hit and a binary the verifier never saw — which is why
+it is counted with the code it can skip.
 """
 
 from __future__ import annotations

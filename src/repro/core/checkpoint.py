@@ -29,6 +29,12 @@ The blob layout (all little-endian)::
            | payload_len u64 | payload | mac 32B
 
 with ``mac = HMAC-SHA256(seal_key, everything before the mac)``.
+
+The module also holds the one execution loop every ``ecall_run`` and
+``ecall_resume`` goes through (:func:`run_loop`): safe points, and the
+checkpoints sealed at them, are a property of that loop, not a second
+way to run.  :func:`executing` is the one place a policy trap or a
+fault becomes a run's outcome.
 """
 
 from __future__ import annotations
@@ -36,14 +42,18 @@ from __future__ import annotations
 import hashlib
 import hmac
 import struct
+from contextlib import contextmanager
 from dataclasses import dataclass
 from time import perf_counter
 from typing import List, Optional, Tuple
 
 from ..crypto.hkdf import hkdf
-from ..errors import RollbackError
-from ..sgx.memory import PAGE_SIZE
-from ..vm.cpu import CPU, CpuState
+from ..errors import (
+    CpuFault, DeadlineExceeded, MemoryFault, PolicyViolation,
+    RollbackError,
+)
+from ..sgx.memory import PAGE_SHIFT, PAGE_SIZE
+from ..vm.cpu import CPU, CpuState, ExecResult
 
 MAGIC = b"CKPT"
 VERSION = 1
@@ -55,6 +65,10 @@ _ZERO_MAC = b"\x00" * _MAC_LEN
 
 #: Monotonic-counter namespace used for checkpoint freshness.
 COUNTER_LABEL = b"checkpoint-chain"
+
+#: Safe-point poll granularity when only a watchdog or an interrupt
+#: (no ``checkpoint_every``) asks for cooperative pauses.
+WATCHDOG_SLICE = 10_000
 
 
 def derive_seal_key(seal_fuse: bytes, mrenclave: bytes,
@@ -393,7 +407,6 @@ class CheckpointChain:
 def take_checkpoint(boot, cpu: CPU, io, outcome,
                     chain: CheckpointChain, checkpoint_sink) -> None:
     """Seal one incremental checkpoint at the current safe point."""
-    from ..sgx.memory import PAGE_SHIFT
     space = boot.enclave.space
     dirty, outside = space.drain_dirty()
     base = space.enclave_base
@@ -419,18 +432,48 @@ def take_checkpoint(boot, cpu: CPU, io, outcome,
         checkpoint_sink(blob)
 
 
-def checkpointed_loop(boot, cpu: CPU, io, outcome,
-                      chain: CheckpointChain, max_steps: int,
-                      checkpoint_every: Optional[int],
-                      watchdog: Optional[Watchdog],
-                      checkpoint_sink, interrupt):
-    """Slice-execute to safe points, checkpointing between slices."""
-    from ..errors import (
-        CpuFault, DeadlineExceeded, MemoryFault, PolicyViolation,
-    )
-    from ..vm.cpu import ExecResult
-    slice_n = checkpoint_every or boot._WATCHDOG_SLICE
+@contextmanager
+def executing(outcome, cpu: CPU):
+    """Record the block's execution of ``cpu`` in ``outcome``.
+
+    A policy trap or a CPU/memory fault raised inside ends the run with
+    that status and detail; either way the outcome's result is the
+    CPU's state when the block ends.  Anything else (teardown,
+    watchdog deadline) propagates.
+    """
     try:
+        yield
+    except PolicyViolation as exc:
+        outcome.status = "violation"
+        outcome.violation_code = exc.code
+        outcome.detail = str(exc)
+    except (MemoryFault, CpuFault) as exc:
+        outcome.status = "fault"
+        outcome.detail = str(exc)
+    outcome.result = ExecResult(cpu.steps, cpu.cycles, cpu.rip,
+                                cpu.aex_events, cpu.regs[0])
+
+
+def run_loop(boot, cpu: CPU, io, chain: Optional[CheckpointChain],
+             max_steps: int,
+             checkpoint_every: Optional[int],
+             watchdog: Optional[Watchdog],
+             checkpoint_sink, interrupt):
+    """The one execution loop of ``ecall_run`` and ``ecall_resume``.
+
+    When no checkpoint, watchdog or interrupt asks for safe points the
+    CPU runs once, unsliced.  Otherwise it runs in slices of
+    ``checkpoint_every`` instructions (:data:`WATCHDOG_SLICE` without
+    one); at each safe point the interrupt and the watchdog are polled
+    and, with ``checkpoint_every``, a checkpoint is sealed onto
+    ``chain``.
+    """
+    outcome = io.outcome
+    if checkpoint_every is None and watchdog is None and interrupt is None:
+        slice_n = None
+    else:
+        slice_n = checkpoint_every or WATCHDOG_SLICE
+    with executing(outcome, cpu):
         while True:
             if interrupt is not None:
                 interrupt(cpu)
@@ -443,24 +486,12 @@ def checkpointed_loop(boot, cpu: CPU, io, outcome,
                     boot.audit.record("watchdog_expired",
                                       reason=reason, steps=cpu.steps)
                     raise DeadlineExceeded(reason, chain.blobs)
-            result = cpu.run(max_steps=max_steps, slice_steps=slice_n)
+            cpu.run(max_steps=max_steps, slice_steps=slice_n)
             if cpu.halted:
-                outcome.result = result
                 boot.enclave.hw_aex_count += cpu.aex_events
                 break
             if checkpoint_every is not None:
                 take_checkpoint(boot, cpu, io, outcome, chain,
                                 checkpoint_sink)
-    except PolicyViolation as exc:
-        outcome.status = "violation"
-        outcome.violation_code = exc.code
-        outcome.detail = str(exc)
-        outcome.result = ExecResult(cpu.steps, cpu.cycles, cpu.rip,
-                                    cpu.aex_events, cpu.regs[0])
-    except (MemoryFault, CpuFault) as exc:
-        outcome.status = "fault"
-        outcome.detail = str(exc)
-        outcome.result = ExecResult(cpu.steps, cpu.cycles, cpu.rip,
-                                    cpu.aex_events, cpu.regs[0])
     outcome.jit_stats = cpu.jit_stats()
     return boot._finish_run(outcome)

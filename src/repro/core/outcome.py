@@ -2,8 +2,9 @@
 
 These are pure data carriers: the bootstrap fills them in, the
 untrusted host (and the bench harness) reads them.  They encode no
-enforcement decisions, which is why they live outside the measured
-enforcement modules the TCB table counts.
+enforcement decision, but every run writes them inside the enclave, so
+they are measured and counted with the consumer (the
+``Checkpoint/cache/audit`` row of :mod:`repro.tcb`).
 """
 
 from __future__ import annotations

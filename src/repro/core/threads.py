@@ -1,11 +1,11 @@
 """Multi-threaded execution of a provisioned binary (§VII).
 
-Lives outside the bootstrap module for the same reason as
-:mod:`repro.core.tracing`: the scheduling loop drives the VM-layer
-round-robin scheduler and copies results out — no enforcement decision
-is made here.  The policy gate (MT-safe shadow stack required for P5
-with multiple threads) stays in this function but fails closed before
-any thread runs.
+Part of the measured consumer: besides driving the VM-layer round-robin
+scheduler and copying results out, this module holds the P5
+multithreading gate — more than one thread under P5 requires the
+MT-safe (register-held) shadow stack — which fails closed before any
+thread runs.  It sits beside the bootstrap module, not in it, only to
+keep that module about the single-thread ECalls.
 """
 
 from __future__ import annotations
@@ -31,10 +31,8 @@ def run_threads(boot, inputs, quantum: int = 500,
     TOCTOU hazard the paper warns about.
     """
     from ..vm.smt import RoundRobinScheduler
-    from .outcome import RunOutcome, _ThreadIO
 
-    if boot.loaded is None or boot.verified is None:
-        raise EnclaveError("no verified binary provisioned")
+    ios = boot._open_run(inputs)
     layout = boot.enclave.layout
     if len(inputs) > layout.num_threads:
         raise EnclaveError(
@@ -45,15 +43,9 @@ def run_threads(boot, inputs, quantum: int = 500,
         raise EnclaveError(
             "P5's memory-held shadow stack is not thread-safe; "
             "use the MT-safe policy variant (PolicySet.multithreaded)")
-    boot._reset_runtime_cells()
-    boot._budget = boot.p0.max_output_bytes
-    outcomes = []
-    cpus = []
-    for tid, data in enumerate(inputs):
-        outcome = RunOutcome(status="ok")
-        io = _ThreadIO(bytes(data), 0, outcome)
-        cpus.append(boot._make_cpu(tid, io, None, cost_model))
-        outcomes.append(outcome)
+    outcomes = [io.outcome for io in ios]
+    cpus = [boot._make_cpu(tid, io, None, cost_model)
+            for tid, io in enumerate(ios)]
     threads = RoundRobinScheduler(cpus, quantum=quantum).run(
         max_steps_per_thread=max_steps)
     for thread, outcome in zip(threads, outcomes):

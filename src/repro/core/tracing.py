@@ -1,20 +1,21 @@
 """Slice-stepped execution tracing — a developer aid.
 
-Lives outside the bootstrap module because nothing on the provisioning
-or execution hot path depends on it: the tracer re-renders instructions
-from the decode-once stream (falling back to decoding live memory) and
-single-steps the CPU, which only debugging flows ever want.
+Part of the measured consumer (``ecall_run``'s traced variant runs the
+target on the staged user data), kept out of the bootstrap module
+because nothing on the provisioning or execution hot path depends on
+it: the tracer re-renders instructions from the decode-once stream
+(falling back to decoding live memory) and single-steps the CPU through
+the same prologue and trap handling as every other run.
 """
 
 from __future__ import annotations
 
 from typing import List, Optional
 
-from ..errors import CpuFault, EnclaveError, MemoryFault, PolicyViolation
 from ..isa.disassembler import format_instruction
 from ..isa.encoding import decode_instruction
 from ..vm.costmodel import CostModel
-from ..vm.cpu import ExecResult
+from .checkpoint import executing
 
 
 def run_traced(boot, max_instructions: int = 200,
@@ -29,20 +30,14 @@ def run_traced(boot, max_instructions: int = 200,
     constants; addresses outside the stream fall back to decoding
     live memory.
     """
-    from .outcome import RunOutcome, _ThreadIO
-
-    if boot.loaded is None or boot.verified is None:
-        raise EnclaveError("no verified binary provisioned")
-    boot._reset_runtime_cells()
-    outcome = RunOutcome(status="ok")
-    io = _ThreadIO(boot._input, 0, outcome)
-    boot._budget = boot.p0.max_output_bytes
+    [io] = boot._open_run()
+    outcome = io.outcome
     cpu = boot._make_cpu(0, io, None, cost_model)
     trace: List[str] = []
     space = boot.enclave.space
     code = boot.verified.code
     code_base = boot.loaded.code_base
-    try:
+    with executing(outcome, cpu):
         while len(trace) < max_instructions and not cpu.halted:
             ins = None
             if code is not None:
@@ -65,13 +60,4 @@ def run_traced(boot, max_instructions: int = 200,
         if not cpu.halted:
             trace.append("... (truncated)")
             outcome.status = "truncated"
-    except PolicyViolation as exc:
-        outcome.status = "violation"
-        outcome.violation_code = exc.code
-        outcome.detail = str(exc)
-    except (MemoryFault, CpuFault) as exc:
-        outcome.status = "fault"
-        outcome.detail = str(exc)
-    outcome.result = ExecResult(cpu.steps, cpu.cycles, cpu.rip,
-                                cpu.aex_events, cpu.regs[0])
     return outcome, trace

@@ -40,8 +40,7 @@ from ..isa.instructions import Op
 from ..policy.magic import MAGIC
 from ..policy.policies import PolicySet
 from ..policy.templates import (
-    AnnotationKind, MatchResult, compile_fast, compile_pattern,
-    match_compiled, match_fast,
+    AnnotationKind, MatchResult, compile_pattern, match_compiled,
     indirect_branch_pattern, p6_guard_pattern, rsp_guard_pattern,
     shadow_epilogue_pattern, shadow_prologue_pattern, store_guard_pattern,
 )
@@ -109,8 +108,7 @@ class PolicyVerifier:
         marker collisions (the chain checked them first).
         """
         def cand(kind, pattern, cpolicy=None):
-            return (kind, compile_pattern(pattern), compile_fast(pattern),
-                    cpolicy)
+            return (kind, compile_pattern(pattern), cpolicy)
 
         p = self.policies
         by_cat: Dict[int, tuple] = {}
@@ -144,16 +142,15 @@ class PolicyVerifier:
         self._by_cat = by_cat
         self._by_marker = by_marker
         self._rsp_compiled = compile_pattern(self._rsp_pat)
-        self._rsp_fast = compile_fast(self._rsp_pat)
 
     def _dispatch_digest(self) -> tuple:
         """Hashable summary of the compiled dispatch tables."""
         return (tuple(sorted((cat, label,
-                              tuple(k for k, _, _, _ in cands))
+                              tuple(k for k, _, _ in cands))
                              for cat, (label, cands)
                              in self._by_cat.items())),
                 tuple(sorted((marker, label,
-                              tuple(k for k, _, _, _ in cands))
+                              tuple(k for k, _, _ in cands))
                              for marker, (label, cands)
                              in self._by_marker.items())))
 
@@ -162,7 +159,7 @@ class PolicyVerifier:
 
         Two verifiers with equal fingerprints accept/reject identical
         binaries with identical evidence — the precondition for reusing
-        a cached provision (see :class:`repro.core.bootstrap.ProvisionCache`).
+        a cached provision (see :class:`repro.core.cache.ProvisionCache`).
         Includes a digest of the compiled dispatch tables so any change
         that reshapes dispatch (policy set, custom markers) changes the
         fingerprint even if other components were to collide.
@@ -215,7 +212,6 @@ class PolicyVerifier:
         stream = code.stream
         cats = code.cats
         reserved = code.reserved
-        text = code.text
         n = len(stream)
         policies = self.policies
         custom = self.custom
@@ -294,11 +290,8 @@ class PolicyVerifier:
                     if cat == CAT_HEAD_MARKER else by_cat.get(cat)
                 if entry_d is not None:
                     label, candidates = entry_d
-                    for kind, compiled, fast, cpolicy in candidates:
-                        m = match_fast(fast, text, stream, i, trap_pads)
-                        if m is None:
-                            m = match_compiled(compiled, stream, i,
-                                               trap_pads)
+                    for kind, compiled, cpolicy in candidates:
+                        m = match_compiled(compiled, stream, i, trap_pads)
                         if m.matched:
                             break
                     if not m.matched:
@@ -382,11 +375,8 @@ class PolicyVerifier:
                         f"instruction lacks the {policy.name} guard",
                         off)
             if cat == CAT_RSP_WRITE and policies.p2:
-                match = match_fast(self._rsp_fast, text, stream, i + 1,
-                                   trap_pads)
-                if match is None:
-                    match = match_compiled(self._rsp_compiled, stream,
-                                           i + 1, trap_pads)
+                match = match_compiled(self._rsp_compiled, stream, i + 1,
+                                       trap_pads)
                 if not match.matched:
                     prove(off, (PROOF_RSP_STEP,),
                           f"stack-pointer write without RSP guard: "

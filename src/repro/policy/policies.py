@@ -11,7 +11,7 @@ contract.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -84,9 +84,6 @@ class PolicySet:
         return table[normalized]
 
     # -- helpers -------------------------------------------------------------
-
-    def with_policy(self, **kwargs) -> "PolicySet":
-        return replace(self, **kwargs)
 
     @property
     def any_store_guard(self) -> bool:

@@ -1,11 +1,11 @@
 """Reference (interpretive) template matcher.
 
-The verifier's hot loop uses the compiled/fast matchers in
+The verifier's hot loop uses the compiled matcher in
 :mod:`repro.policy.templates`; this interpretive walk over the atom
 dataclasses is kept as the readable specification and as the matcher
 the legacy oracle pipeline runs.  It lives outside the templates
-module so the consumer TCB accounting covers only the template
-definitions and the matchers the production verifier actually
+module so the measured consumer image and the TCB count cover only
+the template definitions and the one matcher the production verifier
 dispatches through.
 """
 

@@ -26,12 +26,11 @@ Atom kinds
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from ..isa.encoding import MOV_RI_IMM_OFFSET, encode_instruction
-from ..isa.instructions import Instruction, Mem, Op, SPECS
+from ..isa.encoding import MOV_RI_IMM_OFFSET
+from ..isa.instructions import Mem, Op, SPECS
 from ..isa.registers import R13, R14, R15, RSP, RESERVED_REGS
 from .magic import (
     MAGIC, MARKER_VALUE,
@@ -423,168 +422,6 @@ def match_compiled(compiled: CompiledPattern, stream, index: int,
     return result
 
 
-# -- byte-template matching -------------------------------------------------
-#
-# On DX86's fixed-per-opcode encoding an annotation is *almost* a fixed
-# byte string: every atom except trap rel32s and captured registers /
-# memory operands (and the magic placeholders, which are themselves
-# fixed 64-bit constants before rewriting) encodes to known bytes at
-# known offsets — even LocalTo branches, whose rel32 is a constant
-# distance inside the template.  ``compile_fast`` folds all of that into
-# one (want, mask) big-int pair over the template's byte span, so the
-# verifier accepts a well-formed annotation with a single masked
-# comparison against the raw text plus a handful of field checks,
-# instead of walking the pattern row by row.  A fast-path miss proves
-# nothing by itself — callers fall back to :func:`match_compiled`, which
-# produces the authoritative verdict and the rejection reason.
-#
-# Soundness of reading raw text: the fast path is only consulted at a
-# decode-once stream index, and no template contains a non-fall-through
-# instruction, so if the bytes at ``stream[index]`` match the template
-# then the descent necessarily decoded exactly the template's
-# instructions at contiguous offsets — the byte view and the stream
-# view cannot disagree.
-
-#: Operand field layouts per signature: operand position -> (byte
-#: offset from the opcode byte, field width).
-_FIELD_OFFSETS = {
-    "": (), "r": ((1, 1),), "rr": ((1, 1), (2, 1)),
-    "ri64": ((1, 1), (2, 8)), "ri32": ((1, 1), (2, 4)),
-    "rm": ((1, 1), (2, 7)), "mr": ((1, 7), (8, 1)),
-    "mi32": ((1, 7), (8, 4)), "rel32": ((1, 4),), "i8": ((1, 1),),
-    "i16": ((1, 2),), "i32": ((1, 4),),
-}
-
-_UNPACK_REL32 = struct.Struct("<i").unpack_from
-
-
-@dataclass(frozen=True)
-class FastPattern:
-    """A template flattened to a masked byte image.
-
-    ``want``/``mask`` are little-endian big-ints over ``byte_len``
-    bytes; ``deltas`` are per-row byte offsets from the head;
-    ``magic``/``traps``/``captures`` describe the variable fields the
-    masked comparison cannot settle.
-    """
-
-    size: int
-    byte_len: int
-    want: int
-    mask: int
-    deltas: tuple
-    magic: tuple        # ((imm-field delta, magic name), ...)
-    traps: tuple        # ((rel32-field delta, row-end delta, code), ...)
-    captures: tuple     # ((row, operand pos, atom code, payload), ...)
-
-
-def compile_fast(pattern: Pattern) -> FastPattern:
-    """Flatten ``pattern`` into a :class:`FastPattern` byte template."""
-    lengths = [SPECS[pinstr.op].length for pinstr in pattern]
-    deltas = [0]
-    for length in lengths:
-        deltas.append(deltas[-1] + length)
-    want = bytearray()
-    mask = bytearray()
-    magic: list = []
-    traps: list = []
-    captures: list = []
-    for k, pinstr in enumerate(pattern):
-        offs = _FIELD_OFFSETS[SPECS[pinstr.op].sig]
-        operands: list = []
-        var_fields: list = []
-        for pos, atom in enumerate(pinstr.atoms):
-            start, width = offs[pos]
-            if isinstance(atom, Mag):
-                operands.append(MAGIC[atom.name])
-                magic.append((deltas[k] + start, atom.name))
-            elif isinstance(atom, ImmAtom):
-                operands.append(atom.value)
-            elif isinstance(atom, TrapTo):
-                operands.append(0)
-                var_fields.append((start, width))
-                traps.append((deltas[k] + start, deltas[k + 1],
-                              atom.code))
-            elif isinstance(atom, LocalTo):
-                # constant intra-template distance
-                operands.append(deltas[atom.index] - deltas[k + 1])
-            elif isinstance(atom, TargetReg):
-                operands.append(0)
-                var_fields.append((start, width))
-                captures.append((k, pos, _A_TREG, None))
-            elif isinstance(atom, AnchorMem):
-                operands.append(Mem())
-                var_fields.append((start, width))
-                captures.append((k, pos, _A_AMEM, None))
-            elif isinstance(atom, AnchorReg):
-                operands.append(0)
-                var_fields.append((start, width))
-                captures.append((k, pos, _A_AREG, atom.index))
-            else:
-                operands.append(atom)
-        row = bytearray(
-            encode_instruction(Instruction(pinstr.op, *operands)))
-        row_mask = bytearray(b"\xff" * len(row))
-        for start, width in var_fields:
-            zero = b"\x00" * width
-            row[start:start + width] = zero
-            row_mask[start:start + width] = zero
-        want += row
-        mask += row_mask
-    return FastPattern(len(pattern), deltas[-1],
-                       int.from_bytes(bytes(want), "little"),
-                       int.from_bytes(bytes(mask), "little"),
-                       tuple(deltas[:-1]), tuple(magic), tuple(traps),
-                       tuple(captures))
-
-
-def match_fast(fast: FastPattern, text: bytes, stream, index: int,
-               trap_pads: Dict[int, int]) -> Optional[MatchResult]:
-    """Byte-template match of ``fast`` at ``stream[index]``.
-
-    Returns a successful :class:`MatchResult` identical to what
-    :func:`match_compiled` would produce on the source pattern, or
-    ``None`` when the fast path cannot confirm a match (callers must
-    then consult the row-by-row matcher for the verdict and reason).
-    """
-    if index + fast.size > len(stream):
-        return None
-    off = stream[index][0]
-    end = off + fast.byte_len
-    if end > len(text):
-        return None
-    if int.from_bytes(text[off:end], "little") & fast.mask != fast.want:
-        return None
-    for field_delta, end_delta, code in fast.traps:
-        rel = _UNPACK_REL32(text, off + field_delta)[0]
-        if trap_pads.get(off + end_delta + rel) != code:
-            return None
-    target_reg: Optional[int] = None
-    anchor_mem: Optional[Mem] = None
-    anchor_regs: dict = {}
-    for row, pos, code, payload in fast.captures:
-        operand = stream[index + row][1].operands[pos]
-        if code == _A_TREG:
-            if operand in RESERVED_REGS or operand == RSP:
-                return None
-            if target_reg is None:
-                target_reg = operand
-            elif target_reg != operand:
-                return None
-        elif code == _A_AMEM:
-            anchor_mem = operand
-        else:  # _A_AREG
-            if payload in anchor_regs and anchor_regs[payload] != operand:
-                return None
-            anchor_regs[payload] = operand
-    return MatchResult(
-        matched=True, end_index=index + fast.size,
-        target_reg=target_reg, anchor_mem=anchor_mem,
-        magic_slots=[(off + d, name) for d, name in fast.magic],
-        interior_offsets=[off + d for d in fast.deltas],
-        anchor_regs=anchor_regs)
-
-
-# The interpretive reference matcher lives in repro.policy.reference;
-# the production verifier dispatches only through the compiled and fast
-# matchers above.
+# The interpretive reference matcher lives in repro.policy.reference,
+# outside the measured consumer; the verifier matches every annotation
+# through :func:`match_compiled` above.

@@ -6,6 +6,7 @@ import random
 import pytest
 
 from repro.bench.checkpointing import outcome_fingerprint
+from repro.bench.harness import restore_run_state, snapshot_run_state
 from repro.compiler import compile_source
 from repro.core import BootstrapEnclave
 from repro.core.checkpoint import (
@@ -14,7 +15,7 @@ from repro.core.checkpoint import (
 from repro.errors import (
     DeadlineExceeded, EnclaveTeardown, RollbackError,
 )
-from repro.policy import PolicySet
+from repro.policy import VIOL_P1, PolicySet
 from repro.service.resilient import classify_error
 from repro.vm.costmodel import CostModel
 from repro.vm.interrupts import AexSchedule
@@ -250,6 +251,91 @@ def test_watchdog_unlimited_budgets_never_fire():
 def test_rollback_and_deadline_classified_fatal():
     assert classify_error(RollbackError("replayed")) == "fatal"
     assert classify_error(DeadlineExceeded("late")) == "fatal"
+
+
+# -- one run loop: every path shares the prologue and the trap epilogue --
+
+# Runs a few hundred instructions (so checkpoints are taken) before a P1
+# store outside the enclave.
+_VIOLATOR = compile_source("""
+int main() {
+    int i; int acc = 0; int *p = 4096;
+    for (i = 0; i < 200; i++) acc = acc + i;
+    *p = acc;
+    return 0;
+}
+""", PolicySet.p1_only()).serialize()
+
+
+def _violator_boot():
+    boot = BootstrapEnclave(policies=PolicySet.p1_only())
+    boot.receive_binary(_VIOLATOR)
+    return boot
+
+
+@pytest.mark.parametrize("path", [
+    lambda boot: boot.run(),
+    lambda boot: boot.run(checkpoint_every=50),
+    lambda boot: boot.run_traced(max_instructions=100_000)[0],
+], ids=["plain", "checkpointed", "traced"])
+def test_violation_reported_alike_on_every_run_path(path):
+    want = _violator_boot().run()
+    assert want.status == "violation"
+    assert want.violation_code == VIOL_P1
+    outcome = path(_violator_boot())
+    assert (outcome.status, outcome.violation_code, outcome.detail) == \
+        (want.status, want.violation_code, want.detail)
+    assert outcome.result == want.result
+
+
+def test_checkpointed_violation_takes_checkpoints_first():
+    outcome = _violator_boot().run(checkpoint_every=50)
+    assert outcome.status == "violation"
+    assert outcome.checkpoints_taken > 0
+
+
+# Fills a 16 KiB array through the translator's fast-path stores, then
+# folds it: a page whose writes a checkpoint missed changes the result.
+_FILL_BLOB = compile_source("""
+int big[2048];
+int main() {
+    int i; int acc = 0;
+    for (i = 0; i < 2048; i++) big[i] = i * 7;
+    for (i = 0; i < 2048; i++) acc = (acc + big[i] * (i + 1)) % 1000003;
+    __report(acc);
+    return 0;
+}
+""", _POLICIES).serialize()
+
+
+def test_warm_reused_cpu_then_checkpointed_run_resumes_identically():
+    """A warm ``reuse_cpu`` run must not hand its CPU (blocks compiled
+    without dirty tracking) to a later checkpointed run: the chain that
+    run seals has to carry every dirtied page for resume to continue
+    it byte-identically."""
+    model = CostModel()   # reuse needs the same cost-model object
+
+    def fill_boot():
+        boot = BootstrapEnclave(policies=_POLICIES)
+        boot.receive_binary(_FILL_BLOB)
+        return boot
+
+    want = outcome_fingerprint(fill_boot().run(cost_model=model))
+    boot = fill_boot()
+    snap = snapshot_run_state(boot)
+    warm = boot.run(cost_model=model, reuse_cpu=True, jit_eager=True)
+    assert outcome_fingerprint(warm) == want
+    restore_run_state(boot, snap)
+    blobs = []
+    with pytest.raises(EnclaveTeardown):
+        boot.run(cost_model=model, checkpoint_every=300,
+                 checkpoint_sink=blobs.append,
+                 interrupt=_teardown_at(boot, 45_000))
+    boot.recover()
+    boot.receive_binary(_FILL_BLOB)
+    resumed = boot.resume(blobs, cost_model=model, checkpoint_every=300)
+    assert outcome_fingerprint(resumed) == want
+    assert resumed.resumed_at_step >= 45_000 - 300
 
 
 # -- mid-run chaos campaign --------------------------------------------
