@@ -79,8 +79,8 @@ class BenchResult:
     #: injected fault, and enclave rebuilds after injected teardowns.
     retries: int = 0
     recoveries: int = 0
-    #: Translating-executor counters for the measured run (chain hops,
-    #: IC hits, compiles, invalidations, mean instructions retired per
+    #: Translating-executor counters for the measured run (compiles,
+    #: dispatches, invalidations, mean instructions retired per
     #: dispatch); None under the step engine.
     jit: Optional[dict] = None
     #: Bench executor label and JIT tier of the engine that ran the
@@ -120,7 +120,7 @@ class BenchResult:
 def engine(cost_model: CostModel) -> Tuple[str, int]:
     """The bench executor label and JIT tier a cost model runs: the
     step oracle (tier 0) or the translator (tier 2; tier 1 was the
-    deleted unchained translator, so results-history keys stay
+    deleted block-at-a-time translator, so results-history keys stay
     stable)."""
     if cost_model.executor == "step":
         return "step", 0
@@ -235,14 +235,13 @@ def run_workload(workload: Union[str, Workload], setting: str,
     so a sweep survives one bad cell.
 
     ``warmup=True`` measures *steady state*: the cell executes once
-    untimed (populating the translating executor's block cache, chain
-    edges and inline caches), the enclave image is restored bit-exact,
-    and the timed run repeats the identical execution on the warm CPU.
-    Applied uniformly to every executor — the step engine gains
-    nothing, the translator recoups its compile and chaining warm-up —
-    so cross-executor ratios compare pure execution.  The two runs are
-    bit-identical (same steps, cycles, AEX arrivals); ignored under
-    ``chaos_seed``.
+    untimed (populating the translating executor's block cache), the
+    enclave image is restored bit-exact, and the timed run repeats the
+    identical execution on the warm CPU.  Applied uniformly to every
+    executor — the step engine gains nothing, the translator recoups
+    its compile warm-up — so cross-executor ratios compare pure
+    execution.  The two runs are bit-identical (same steps, cycles,
+    AEX arrivals); ignored under ``chaos_seed``.
 
     ``chaos_seed`` runs the cell under deterministic fault injection
     (see :mod:`repro.service.faults`): deliveries get corrupted, ECalls
@@ -602,16 +601,10 @@ class RunMatrix(dict):
             return {}
         total = {key: sum(c.get(key, 0) for c in cells)
                  for key in ("compiled", "template_hits",
-                             "dispatch_calls", "chain_links",
-                             "chain_hops", "ic_hits", "ic_misses",
-                             "ic_fills", "invalidated_blocks",
-                             "severed_edges", "evicted_blocks",
-                             "hoisted_regs")}
+                             "dispatch_calls", "invalidated_blocks",
+                             "evicted_blocks", "hoisted_regs")}
         steps = sum(c.get("steps", 0) for c in cells)
         disp = total["dispatch_calls"]
         total["mean_instrs_per_dispatch"] = \
             round(steps / disp, 2) if disp else 0.0
-        probes = total["ic_hits"] + total["ic_misses"]
-        total["ic_hit_rate"] = \
-            round(total["ic_hits"] / probes, 4) if probes else 0.0
         return {"jit": total}

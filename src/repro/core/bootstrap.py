@@ -110,9 +110,10 @@ class BootstrapEnclave:
                                        custom=self.custom)
         self.loaded: Optional[LoadedBinary] = None
         self.verified: Optional[VerifiedBinary] = None
-        #: Thread-0 CPU kept across ``run(reuse_cpu=True)`` calls so a
-        #: warm re-run inherits the translated-block cache.
-        self._cpu0: Optional[CPU] = None
+        #: ``(cost_model argument, thread-0 CPU)`` kept across
+        #: ``run(reuse_cpu=True)`` calls so a warm re-run inherits the
+        #: translated-block cache; dropped whenever provisioning starts.
+        self._cpu0: Optional[tuple] = None
         #: Stage timings (seconds) of the most recent provisioning.
         self.provision_stages: Dict[str, float] = {}
         #: Tamper-evident event chain (attestation evidence).
@@ -161,13 +162,12 @@ class BootstrapEnclave:
         """
         self.enclave = Enclave(self.enclave.config, self.enclave.platform)
         self._attach_enclave()
-        self.loaded = None
-        self.verified = None
+        self.loaded = self.verified = self._provision_digest = None
+        self._cpu0 = None
         self.provision_stages = {}
         self.channels = {}
         self._input = b""
         self._input_cursor = 0
-        self._provision_digest = None
         self.audit.record("recovered", reason=reason,
                           mrenclave=self.enclave.mrenclave.hex())
         return self.enclave.mrenclave
@@ -223,7 +223,15 @@ class BootstrapEnclave:
         Returns the measurement (hash) of the received service binary,
         which the bootstrap forwards to the data owner (§III-A).
         Raises :class:`VerificationError` when the binary is rejected.
+
+        Provisioning is a transaction: the previous binary (and any CPU
+        reused across runs) is forgotten on entry, and the new one is
+        committed only after the rewrite or the cache install succeeds,
+        so after any failure every run ECall fails closed until a
+        binary is accepted.  Staged user data is kept.
         """
+        self.loaded = self.verified = self._provision_digest = None
+        self._cpu0 = None
         if encrypted:
             provider = self.channels.get("provider")
             if provider is None:
@@ -329,19 +337,19 @@ class BootstrapEnclave:
         Fails unless a binary is provisioned, resets the runtime cells
         and the P0 output budget, and returns one :class:`_ThreadIO`
         with a fresh :class:`RunOutcome` per entry of ``inputs``
-        (``None`` stands for the staged user data).  ``track_dirty``
-        switches dirty-page tracking on first — before the CPU exists,
-        since the translator bakes the decision into its blocks — and
-        drains it, so the first checkpoint's delta starts at the
-        post-provision image and carries the runtime cells.
+        (``None`` stands for the staged user data).  Dirty-page tracking
+        is set to ``track_dirty`` first — before the CPU exists, since
+        the translator bakes the decision into its blocks — and
+        drained, so the first checkpoint's delta starts at the
+        post-provision image and carries the runtime cells, and a run
+        without safe points pays no tracking.
         """
         if self.loaded is None or self.verified is None:
             raise EnclaveError("no verified binary provisioned")
         layout = self.enclave.layout
         space = self.enclave.space
-        if track_dirty:
-            space.track_dirty(True)
-            space.drain_dirty()
+        space.track_dirty(track_dirty)
+        space.drain_dirty()
         space.write_raw(layout.ssp_cell,
                         layout.ss_base.to_bytes(8, "little"))
         space.write_raw(layout.ssa_marker_addr,
@@ -362,22 +370,21 @@ class BootstrapEnclave:
                   svc_handler=lambda c, num: self._svc(c, num, io),
                   initial_rsp=layout.initial_rsp_of(tid))
         if reuse and tid == 0 and self._cpu0 is not None \
-                and self._cpu0.cost_model is cost_model:
+                and self._cpu0[0] is cost_model:
             # Warm re-run: rewind the architectural state but keep the
             # translated-block cache (steady-state benchmarking).  Only
-            # taken when the cost model is the *same object* — cycle
-            # constants are baked into compiled blocks.
-            cpu = self._cpu0
+            # taken when the caller passes the *same* cost-model
+            # argument (``None`` included) — cycle constants are baked
+            # into compiled blocks.
+            cpu = self._cpu0[1]
             cpu.reset_for_run(**kw)
         else:
             cpu = CPU(self.enclave.space, self.loaded.entry_addr,
                       cost_model=cost_model,
                       ssa_addr=layout.ssa_addr_of(tid),
-                      hot_range=(layout.crit_lo, layout.crit_hi),
-                      branch_targets=frozenset(
-                          self.loaded.branch_target_addrs), **kw)
+                      hot_range=(layout.crit_lo, layout.crit_hi), **kw)
             if reuse and tid == 0:
-                self._cpu0 = cpu
+                self._cpu0 = (cost_model, cpu)
         if self.policies.mt_safe:
             # §VII: the shadow-stack pointer lives in R13, per thread
             cpu.regs[13] = layout.shadow_slice_base(tid)
@@ -412,7 +419,7 @@ class BootstrapEnclave:
         then measures warm steady-state execution.  Only honored when
         no safe points are asked for (a reused CPU's blocks were
         compiled without dirty tracking) and only when the same
-        ``cost_model`` object is passed again.
+        ``cost_model`` argument (or ``None`` again) is passed.
 
         ``jit_eager=True`` makes the translating executor compile
         every block on first dispatch instead of after its cold-run

@@ -214,11 +214,11 @@ class FaultPlan(_FaultBudget):
     def draw_midrun_smc(self) -> Optional[int]:
         """One checkpointed run: maybe force a full code-cache flush
         after ``k`` more instructions (the self-modifying-code chaos
-        knob).  The flush severs every chain edge and empties the
-        inline caches mid-execution, yet is architecturally invisible
-        — the run must retire the exact same steps and cycles.  Drawn
-        after the teardown draw so teardown-only replays from earlier
-        plans keep their injection points."""
+        knob).  The flush drops every translated block mid-execution,
+        yet is architecturally invisible — the run must retire the
+        exact same steps and cycles.  Drawn after the teardown draw so
+        teardown-only replays from earlier plans keep their injection
+        points."""
         if not self.mid_run:
             return None
         if self._chance(self.p_smc):
@@ -384,8 +384,7 @@ class FaultyHost:
 
         def flush(cpu):
             # SMC chaos: flush the whole text segment's translated
-            # code.  Chains sever, inline caches drop, and the run
-            # must still retire bit-identically.
+            # code; the run must still retire bit-identically.
             loaded = bootstrap.loaded
             cpu.space.invalidate_code_range(loaded.code_base,
                                             loaded.code_len)

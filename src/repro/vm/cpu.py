@@ -39,8 +39,8 @@ from ..isa.instructions import Op
 from ..sgx.memory import AddressSpace
 from .costmodel import CostModel
 from .interrupts import AexSchedule, AexTimer
-from .translate import CHAIN_DEPTH, COLD_RUNS, MAX_TRACE_INSTRS, \
-    BlockCache, materialize_flags, pack_flags
+from .translate import COLD_RUNS, MAX_TRACE_INSTRS, BlockCache, \
+    materialize_flags, pack_flags
 
 _U64 = (1 << 64) - 1
 _SIGN = 1 << 63
@@ -108,8 +108,7 @@ class CPU:
                  initial_rsp: int = 0,
                  ssa_addr: int = 0,
                  hot_range=(0, 0),
-                 executor: str = None,
-                 branch_targets=None):
+                 executor: str = None):
         self.space = space
         self.entry = entry
         self.regs = [0] * 16
@@ -125,10 +124,6 @@ class CPU:
         #: [lo, hi) of the loader's hot cells (shadow stack, marker,
         #: branch map): memory ops there cost ``hot_mem_cost``.
         self.hot_range = hot_range
-        #: Verifier-trusted indirect-branch targets (absolute; the P5
-        #: branch-target list) — gates inline-cache fills for JMP_R and
-        #: CALL_R sites.  None when no loader metadata is available.
-        self.branch_targets = branch_targets
         self.executor = executor or self.cost_model.executor
         if self.executor not in ("translate", "step"):
             raise ValueError(f"unknown executor {self.executor!r}")
@@ -158,10 +153,10 @@ class CPU:
         self._aex_timer = AexTimer(self.aex_schedule)
         #: Superblock cache (translating executor); built lazily.
         self._blocks = None
-        #: (block, instr index, chain-predecessor retires, cycles, fk,
+        #: (instr index, retires before the faulting pass, cycles, fk,
         #: fa, fb) recorded by a translated block's exception hook so
         #: the dispatch loop can reconstruct the architectural fault
-        #: state (first-wins across chained frames).
+        #: state.
         self._cf = None
 
     # -- helpers -----------------------------------------------------------
@@ -223,21 +218,10 @@ class CPU:
         self.cycles += delta
         return value
 
-    def _set_closure_fault(self, block, index, ns, cycles,
-                           fk, fa, fb) -> None:
-        """Exception hook called by translated blocks before re-raising.
-
-        First-wins: with chained blocks the exception unwinds through
-        every frame of the chain and each one calls this hook — only
-        the innermost (the faulting block) carries the architectural
-        fault state.  Returns True to that innermost frame, telling it
-        to flush its localized registers back to the shared ``regs``
-        list (outer frames must NOT flush: their locals are stale
-        copies from before they invoked the successor)."""
-        if self._cf is None:
-            self._cf = (block, index, ns, cycles, fk, fa, fb)
-            return True
-        return False
+    def _set_closure_fault(self, index, ns, cycles, fk, fa, fb) -> None:
+        """Exception hook called by a translated block before it writes
+        its localized registers back and re-raises."""
+        self._cf = (index, ns, cycles, fk, fa, fb)
 
     def _do_aex(self) -> None:
         """Asynchronous exit: dump thread context into the SSA.
@@ -350,12 +334,12 @@ class CPU:
         *mid-run* state and rebuild caches, this rewinds to the *entry*
         state and deliberately keeps the translated-block cache and
         decoded-instruction cache warm.  It exists for steady-state
-        benchmarking — a warm-up run populates and chains the block
-        cache, the bootstrap restores the memory image, and the timed
-        run then measures pure execution with zero compile or cold-run
-        cost.  The AEX jitter stream is rewound too, so the timed run
-        sees the exact interrupt arrivals of a cold run and stays
-        bit-comparable with the single-step oracle.
+        benchmarking — a warm-up run populates the block cache, the
+        bootstrap restores the memory image, and the timed run then
+        measures pure execution with zero compile or cold-run cost.
+        The AEX jitter stream is rewound too, so the timed run sees the
+        exact interrupt arrivals of a cold run and stays bit-comparable
+        with the single-step oracle.
         """
         self.regs[:] = [0] * 16
         self.regs[4] = initial_rsp
@@ -375,13 +359,11 @@ class CPU:
         self._aex_timer = AexTimer(self.aex_schedule)
         if svc_handler is not None:
             self.svc_handler = svc_handler
-        cache = self._blocks
-        if cache is not None:
+        if self._blocks is not None:
             # Dynamic counters describe the measured run; the compiled
-            # blocks, chain edges and inline caches stay — that warm
-            # structure is what the reset exists to preserve.
-            cache.cstat[0] = cache.cstat[1] = 0
-            cache.disp_calls = 0
+            # blocks stay — that warm cache is what the reset exists to
+            # preserve.
+            self._blocks.disp_calls = 0
 
     # -- execution -----------------------------------------------------------
 
@@ -432,12 +414,10 @@ class CPU:
         self._halted = False
         self._cf = None
         cache.abort = False
-        cache.ic_miss = None
         blocks = cache.blocks
         blocks_get = blocks.get
         move_to_end = blocks.move_to_end
         translate = cache.translate
-        chain_depth = CHAIN_DEPTH
         cold_runs = 0 if self.jit_eager else COLD_RUNS
         # A trace longer than the slice could never fit its headroom.
         trace_cap = MAX_TRACE_INSTRS if slice_steps is None \
@@ -464,9 +444,9 @@ class CPU:
                     # changes the block's length.
                     n = block.n
                     if fn is not None:
-                        # Headroom: instructions this invocation (the
-                        # block plus any chained successors) may retire
-                        # before the next event boundary.
+                        # Headroom: instructions this invocation (every
+                        # pass of a native loop) may retire before the
+                        # next event boundary.
                         hd = budget - steps
                         if aex_enabled:
                             c = timer.countdown - 1
@@ -478,35 +458,31 @@ class CPU:
                             try:
                                 (rip, fk, fa, fb, cycles,
                                  kind, aux, nexec) = fn(
-                                    regs, fk, fa, fb, cycles,
-                                    hd, 0, chain_depth)
+                                    regs, fk, fa, fb, cycles, hd)
                             except BaseException:
                                 state = self._cf
                                 if state is not None:
-                                    (fblk, index, fns, cycles,
+                                    (index, fns, cycles,
                                      fk, fa, fb) = state
                                     self._cf = None
                                     steps += fns + index + 1
-                                    rip = fblk.rips[index]
+                                    rip = block.rips[index]
                                     if aex_enabled:
                                         timer.debit(fns + index + 1)
                                 raise
                             steps += nexec
                             if aex_enabled:
                                 timer.debit(nexec)
-                            if cache.ic_miss is not None:
-                                cache.fill_ic()
                             if kind == 0:      # plain control transfer
                                 continue
                             if kind == 2:      # HLT
                                 self._halted = True
                                 break
                             # kind == 1: SVC escape (rip holds the
-                            # return address; the chain may have ended
-                            # in any block, so the SVC's own address
-                            # comes from cache.svc_rip)
+                            # return address; an SVC always ends its
+                            # block)
                             if self.svc_handler is None:
-                                rip = cache.svc_rip
+                                rip = block.rips[-1]
                                 raise CpuFault(f"SVC {aux:#x} with no "
                                                f"handler at {rip:#x}")
                             self.rip = rip
@@ -569,10 +545,10 @@ class CPU:
 
     def jit_stats(self):
         """Counter snapshot of the translating executor's block cache
-        (None when it never ran): compile/dispatch/chain/IC/invalidation
-        counters plus the mean instructions retired per dispatch-loop
-        closure entry — the direct measure of how much interpreter-exit
-        tax chaining removed."""
+        (None when it never ran): compile/dispatch/invalidation counters
+        plus the mean instructions retired per dispatch-loop closure
+        entry — how much work traces and native loops keep out of the
+        dispatch loop."""
         cache = self._blocks
         if cache is None:
             return None

@@ -21,63 +21,51 @@ specialized Python closure:
   account;
 * self-modifying code is handled by an invalidation hook registered on
   the :class:`~repro.sgx.memory.AddressSpace`: a store into the watched
-  code range drops every overlapping block from the cache (severing the
-  chain edges below), and sets :attr:`BlockCache.abort` — generated code
-  checks the flag after each store and returns early with the exact
+  code range drops every overlapping block from the cache and, when the
+  running block is among them, sets :attr:`BlockCache.abort` — generated
+  code checks the flag after each store and returns early with the exact
   count of retired instructions, so execution resumes through a freshly
   translated block.
 
 Every leader is first decoded as one basic block (a *stub*) that the
 dispatch loop replays through the single-step oracle until it has been
 visited :data:`COLD_RUNS` times; only then is it compiled.  Compiled
-code also removes the remaining *per-block* dispatch tax:
+code keeps hot paths inside one closure:
 
 * **lazy traces** — a stub turning hot is promoted to a *trace* before
   codegen: decoding restarts at the leader and follows direct JMPs,
   conditional fall-throughs and direct calls (with a compile-time
   return-address stack), up to :data:`MAX_TRACE_INSTRS` or the run's
   ``slice_steps``, whichever is smaller, and stopping at any leader
-  that is already compiled (the exit chains to it).  The block keeps
-  its leader and cache slot and re-indexes the pages it now spans, so
-  cold code never pays trace decode and no trace is longer than a
-  slice can run;
-* **superblock chaining** — a block whose terminator targets a fixed
-  address carries a *chain cell* ``[fn, n]`` per exit edge; once both
-  blocks are compiled the cell is patched with the successor's closure
-  and the exit invokes it directly instead of returning to the dispatch
-  loop.  Every hop re-checks the instruction headroom ``hd`` (the
-  dispatch loop computes it from the step budget and the AEX countdown),
-  so AEX timers, ``slice_steps`` safe points, and checkpoint/watchdog
+  that is already compiled (the exit returns there through the
+  dispatch loop).  The block keeps its leader and cache slot and
+  re-indexes the pages it now spans, so cold code never pays trace
+  decode and no trace is longer than a slice can run;
+* **native loops** — a block whose terminator jumps to its *own*
+  leader compiles into a ``while 1:`` loop that re-checks the
+  instruction headroom ``hd`` (the dispatch loop computes it from the
+  step budget and the AEX countdown) before every iteration, so AEX
+  timers, ``slice_steps`` safe points and checkpoint/watchdog
   boundaries fire at exactly the same instruction boundaries as the
-  single-step engine, and a chain-depth budget ``cd`` bounds Python
-  recursion.  A block whose terminator jumps to its *own* leader
-  compiles into a ``while 1:`` loop — the hottest shape pays no call at
-  all per iteration;
-* **monomorphic inline caches** — each indirect-branch site (``JMP_R``,
-  ``CALL_R``, ``RET``) carries an IC cell ``[target, fn, n]`` caching
-  its last-resolved target closure.  A hit chains directly; a miss (or a
-  mispredict) records the site on :attr:`BlockCache.ic_miss` and falls
-  back to the dispatch loop, which refills the cell — for ``JMP_R`` and
-  ``CALL_R`` only after checking the target against the P5
-  branch-target list the verifier already trusts;
+  single-step engine;
 * **register hoisting** — self-loop blocks keep every register they
   mention in Python locals for the duration of the loop.
 
-The generated closure receives the hot state plus the chain budget and
+Every other exit, to a fixed or an indirect target, returns the target
+to the dispatch loop.  The generated closure receives the hot state and
 returns the totals::
 
     (next_rip, fk, fa, fb, cycles, kind, aux, nexec) = \
-        block.fn(regs, fk, fa, fb, cycles, hd, 0, chain_depth)
+        block.fn(regs, fk, fa, fb, cycles, hd)
 
-``hd`` is the instruction headroom for the whole invocation (chained
-successors included), ``ns`` the instructions retired by predecessors in
-the running chain, ``cd`` the remaining chain depth.  ``kind`` is 0 for
-a plain control transfer, 1 for an SVC escape (``aux`` is the service
-number), 2 for HLT.  ``nexec`` is how many instructions retired across
-the whole chain.  Faults raise through the closures; each frame's
-``except`` hook reports the faulting block, instruction index and the
-in-flight accumulators to the CPU (``CPU._set_closure_fault``,
-first-wins so the innermost — faulting — frame is the one recorded).
+``hd`` is the instruction headroom for the invocation (only native
+loops consult it: the dispatch loop already checked that one pass
+fits).  ``kind`` is 0 for a plain control transfer, 1 for an SVC
+escape (``aux`` is the service number), 2 for HLT.  ``nexec`` is how
+many instructions retired.  Faults raise through the closure; its
+``except`` hook reports the faulting instruction index and the
+in-flight accumulators to the CPU (``CPU._set_closure_fault``) and
+writes localized registers back before re-raising.
 """
 
 from __future__ import annotations
@@ -121,12 +109,6 @@ MAX_TRACE_INSTRS = 256
 #: straight-through init code and rarely-taken paths are never
 #: compiled.
 COLD_RUNS = 12
-
-#: Maximum direct chain hops per dispatch entry.  Each hop is one Python
-#: stack frame (self-loops excepted — they compile to a loop), so this
-#: also bounds recursion; the headroom check ``ns + n <= hd`` is what
-#: actually guarantees AEX/slice exactness.
-CHAIN_DEPTH = 24
 
 #: Process-wide template code cache: generated sources embed
 #: their block-specific values (addresses, immediates, bounds, costs)
@@ -319,7 +301,7 @@ class Block:
     re-reached enough times (loops, called functions) are fused."""
 
     __slots__ = ("start", "lo", "end", "n", "rips", "items", "warm",
-                 "fn", "pages", "in_cells")
+                 "fn", "pages")
 
     def __init__(self, start):
         self.start = start
@@ -335,10 +317,6 @@ class Block:
         self.fn = None
         #: Page indices this block's bytes span (SMC invalidation index).
         self.pages = ()
-        #: Inbound chain/IC cells pointing at this block's closure, as
-        #: ``(cell, target, pred_block)`` tuples; severed in place when
-        #: the block dies.
-        self.in_cells = []
 
 
 class BlockCache:
@@ -346,9 +324,9 @@ class BlockCache:
 
     Registers a weakref-based write hook on the CPU's address space so
     stores into the watched code range invalidate exactly the
-    overlapping blocks (severing every inbound chain edge and IC, and
-    aborting the running chain); once the cache is garbage-collected the
-    hook reports itself dead and is pruned.
+    overlapping blocks (aborting the running block if it is among them);
+    once the cache is garbage-collected the hook reports itself dead and
+    is pruned.
 
     The cache is bounded: :attr:`capacity` (``CostModel.jit_block_cap``)
     blocks, evicted in LRU order — the dispatch loop refreshes a leader
@@ -360,39 +338,16 @@ class BlockCache:
         self.cpu = cpu
         self.capacity = max(1, getattr(cpu.cost_model, "jit_block_cap",
                                        4096))
-        #: P5-trusted indirect-branch targets (absolute), or None when
-        #: the CPU was built without loader metadata — guarded IC sites
-        #: then never fill.
-        self.trusted_targets = getattr(cpu, "branch_targets", None)
         self.blocks = OrderedDict()
         #: page index -> [Block] (blocks whose bytes touch that page).
         self.by_page = {}
-        #: leader addr -> [(cell, pred_block)] chain cells
-        #: waiting for a block at that leader to compile.
-        self.pending = {}
-        #: leader addr -> (fn, n) for every *compiled* block — the
-        #: megamorphic fallback table.  A poisoned indirect site (a RET
-        #: shared by many call sites defeats a monomorphic IC) probes
-        #: this shared map instead of bailing to dispatch on every
-        #: execution.  Maintained in :meth:`compile_block` /
-        #: :meth:`_drop`, so invalidation and eviction unmap entries
-        #: the instant the block dies.
-        self.fmap = {}
         #: Block the dispatch loop last entered (the hook uses it to
-        #: detect self-modification of the running chain).
+        #: detect self-modification of the running block).
         self.current = None
-        #: Set by the hook when a store may have invalidated code the
-        #: running chain could touch; generated code polls it after
-        #: each store and bails out with the exact retire count.
+        #: Set by the hook when a store invalidated the running block;
+        #: generated code polls it after each slow-path store and bails
+        #: out with the exact retire count.
         self.abort = False
-        #: ``(ic_cell, target, guarded)`` recorded by generated code on
-        #: an IC miss/mispredict; the dispatch loop refills via
-        #: :meth:`fill_ic`.
-        self.ic_miss = None
-        #: Address of the last SVC escape (error reporting only).
-        self.svc_rip = 0
-        #: Hot counters bumped by generated code: [ic hits, chain hops].
-        self.cstat = [0, 0]
         self.compiles = 0
         #: Promotions whose trace extended past the basic-block stub.
         self.traces = 0
@@ -400,11 +355,7 @@ class BlockCache:
         #: code cache (no ``builtins.compile`` paid).
         self.template_hits = 0
         self.disp_calls = 0
-        self.ic_misses = 0
-        self.ic_fills = 0
-        self.links = 0
         self.invalidations = 0
-        self.severs = 0
         self.evictions = 0
         self.hoisted = 0
         ref = weakref.ref(self)
@@ -421,32 +372,22 @@ class BlockCache:
     # -- bookkeeping -------------------------------------------------------
 
     def stats(self) -> dict:
-        """JSON-ready counter snapshot (chain/IC hit rates ride into
-        ``BENCH_vm.json`` through here)."""
+        """JSON-ready counter snapshot (rides into ``BENCH_vm.json``
+        through here)."""
         return {
             "blocks": len(self.blocks),
             "compiled": self.compiles,
             "traces": self.traces,
             "template_hits": self.template_hits,
             "dispatch_calls": self.disp_calls,
-            "chain_links": self.links,
-            "chain_hops": self.cstat[1],
-            "ic_hits": self.cstat[0],
-            "ic_misses": self.ic_misses,
-            "ic_fills": self.ic_fills,
             "invalidated_blocks": self.invalidations,
-            "severed_edges": self.severs,
             "evicted_blocks": self.evictions,
             "hoisted_regs": self.hoisted,
         }
 
     def _drop(self, block) -> None:
-        """Unindex a dead block and sever every cell pointing at it.
-
-        Callers already removed it from :attr:`blocks`.  Severed direct
-        cells whose predecessor is still alive are re-registered on
-        :attr:`pending`, so a retranslation of this leader re-links
-        them; ICs self-heal through the miss path instead."""
+        """Unindex a dead block (callers already removed it from
+        :attr:`blocks`)."""
         by_page = self.by_page
         for pg in block.pages:
             bucket = by_page.get(pg)
@@ -457,34 +398,14 @@ class BlockCache:
                     pass
                 if not bucket:
                     del by_page[pg]
-        self.fmap.pop(block.start, None)
-        cells = block.in_cells
-        if cells:
-            self.severs += len(cells)
-            blocks_get = self.blocks.get
-            for cell, target, pred in cells:
-                if len(cell) == 4:     # IC: fresh chance for new code
-                    cell[0] = -1
-                    cell[1] = None
-                    cell[2] = 0
-                    cell[3] = 0
-                else:                  # direct chain cell
-                    cell[0] = None
-                    cell[1] = 0
-                if target is not None and pred is not None \
-                        and blocks_get(pred.start) is pred:
-                    self.pending.setdefault(target, []).append(
-                        (cell, pred))
-            block.in_cells = []
 
     def invalidate(self, addr, size) -> None:
         """Drop every block overlapping ``[addr, addr+size)``.
 
-        O(pages touched) via :attr:`by_page`.  Sets :attr:`abort`
-        whenever a block died while a chain may be running — the
-        *executing* closure can be a chained successor of
-        :attr:`current`, so this is deliberately conservative (an early
-        return is always architecturally safe)."""
+        O(pages touched) via :attr:`by_page`.  Sets :attr:`abort` when
+        the store overlaps the running block's bounding range (a
+        superset of its bytes, so an early return may be spurious but
+        is always architecturally safe)."""
         hi = addr + size
         cur = self.current
         if cur is not None and cur.lo < hi and addr < cur.end:
@@ -504,76 +425,12 @@ class BlockCache:
                     dead.append(b)
         if not dead:
             return
-        if cur is not None:
-            self.abort = True
         self.invalidations += len(dead)
         blocks = self.blocks
         for b in dead:
             if blocks.get(b.start) is b:
                 del blocks[b.start]
             self._drop(b)
-
-    def fill_ic(self) -> None:
-        """Resolve the pending IC miss recorded by generated code.
-
-        Monomorphic last-target-wins: the cell is (re)pointed at the
-        missed target if a compiled block exists for it — for guarded
-        sites (``JMP_R``/``CALL_R``) only when the target is on the
-        verifier-trusted P5 branch-target list."""
-        ic, target, guarded = self.ic_miss
-        self.ic_miss = None
-        self.ic_misses += 1
-        ic[3] += 1
-        if ic[3] > 16:
-            # Megamorphic site (e.g. a RET shared by many call sites):
-            # stop flip-flopping the cell — the poison value never
-            # matches a target and generated code stops reporting.
-            ic[0] = -2
-            ic[1] = None
-            return
-        if guarded:
-            trusted = self.trusted_targets
-            if trusted is None or target not in trusted:
-                return
-        blk = self.blocks.get(target)
-        if blk is None or blk.fn is None:
-            return
-        ic[0] = target
-        ic[1] = blk.fn
-        ic[2] = blk.n
-        self.ic_fills += 1
-        cells = blk.in_cells
-        if not any(entry[0] is ic for entry in cells):
-            cells.append((ic, None, None))
-
-    def _link_edges(self, block, edges) -> None:
-        """Patch chain cells once both sides of an edge are compiled.
-
-        ``edges`` are this block's outbound ``(cell, target)`` sites:
-        targets already compiled are patched now, the rest parked on
-        :attr:`pending`.  Then every predecessor waiting for *this*
-        leader is patched in turn."""
-        blocks_get = self.blocks.get
-        for cell, target in edges:
-            tb = blocks_get(target)
-            if tb is not None and tb.fn is not None:
-                cell[0] = tb.fn
-                cell[1] = tb.n
-                tb.in_cells.append((cell, target, block))
-                self.links += 1
-            else:
-                self.pending.setdefault(target, []).append((cell, block))
-        waiters = self.pending.pop(block.start, None)
-        if waiters:
-            fn = block.fn
-            n = block.n
-            for cell, pred in waiters:
-                if blocks_get(pred.start) is not pred:
-                    continue  # predecessor died while parked
-                cell[0] = fn
-                cell[1] = n
-                block.in_cells.append((cell, block.start, pred))
-                self.links += 1
 
     def translate(self, rip):
         """Decode the basic block whose leader is ``rip`` into a stub;
@@ -607,16 +464,17 @@ class BlockCache:
         Traces use tail duplication: decoding follows direct
         unconditional JMPs (the JMP stays in the item list — it retires
         and is charged, but transfers no control) and the fall-through
-        edge of conditional branches (the taken edge becomes a chained
-        side exit), so a MiniC ``while`` loop — body with internal ifs,
+        edge of conditional branches (the taken edge becomes a side
+        exit), so a MiniC ``while`` loop — body with internal ifs,
         falling into a ``JMP`` back to a conditional header — becomes
         one block whose backedge targets its own leader and compiles to
-        a native loop instead of a chain of closures per iteration.
+        a native loop instead of one dispatch per iteration.
         Extension stops at the instruction cap, at any rip already in
         the trace (the branch then stays a terminator; a backedge to
         the leader itself is the loop case ``_compile`` recognizes),
-        at a leader that is already compiled (the exit chains to it),
-        and at undecodable or non-executable targets."""
+        at a leader that is already compiled (the exit returns there
+        through dispatch), and at undecodable or non-executable
+        targets."""
         space = self.cpu.space
         base = space.enclave_base
         view = space.enclave_view()
@@ -671,7 +529,7 @@ class BlockCache:
                 break
             if nxt in seen or not space.in_enclave(nxt):
                 break
-            # Chain into code that is already compiled rather than
+            # Exit into code that is already compiled rather than
             # duplicate it: under lazy promotion a loop's body leader
             # usually turns hot before its entry does.
             known = self.blocks.get(nxt)
@@ -714,15 +572,12 @@ class BlockCache:
             if len(items) > block.n:
                 self._install(block, items)
                 self.traces += 1
-        fn, edges = self._compile(block.start, block.items, block)
-        block.fn = fn
+        block.fn = self._compile(block.start, block.items)
         block.items = None
-        self.fmap[block.start] = (fn, block.n)
         self.compiles += 1
-        self._link_edges(block, edges)
-        return fn
+        return block.fn
 
-    def _compile(self, start, items, block):
+    def _compile(self, start, items):
         cpu = self.cpu
         cm = cpu.cost_model
         hot_lo, hot_hi = cpu.hot_range
@@ -788,7 +643,7 @@ class BlockCache:
         # is a *later* item of this same trace is an if-then diamond
         # (the shape every P1-P6 annotation compiles to: a hot guard
         # skipping its own slow path).  Instead of a side exit — which
-        # would put a closure hop on the hot path — the taken edge
+        # would put a dispatch round trip on the hot path — the taken edge
         # skips the inner region natively: ``if pred: sk += c`` /
         # ``else: <inner items>``.  ``sk`` counts skipped instructions
         # at runtime so every retire account (``ns + k``), the fault
@@ -812,9 +667,8 @@ class BlockCache:
         # -- register localization -----------------------------------------
         # Registers mentioned twice or more live in Python locals for
         # the whole closure (loads/stores to the regs list collapse to
-        # local variable traffic); every exit point writes them back,
-        # and the exception hook's first-wins return value tells the
-        # innermost frame to flush before the dispatch loop reads regs.
+        # local variable traffic); every exit point and the exception
+        # hook write them back before the dispatch loop reads regs.
         floor = 1 if is_loop else 2
         localized = sorted(r for r, c in _reg_counts(items).items()
                            if c >= floor)
@@ -861,8 +715,7 @@ class BlockCache:
                 del pending[:]
 
         def exit_seq(tail) -> list:
-            """Writeback sequence ending in ``tail`` (a return or a
-            chained call)."""
+            """Writeback sequence ending in ``tail`` (a return)."""
             out = []
             if pending:
                 out.append("cycles = cycles + " + " + ".join(pending))
@@ -909,97 +762,23 @@ class BlockCache:
             elif epc_on:
                 pending.append(f"epc_touch({lit(addr)})")
 
-        #: Outbound chain sites: (cell, target).
-        edges = []
-        cells = {}
-
-        def chain_cell(target) -> str:
-            name = f"c{len(cells)}"
-            cell = [None, 0]
-            cells[name] = cell
-            edges.append((cell, target))
-            return name
-
-        def ic_cell() -> str:
-            name = f"i{len(cells)}"
-            cells[name] = [-1, None, 0, 0]
-            return name
+        # Instructions retired so far: ``ns`` counts the finished
+        # iterations of a native loop (no other block needs it).
+        ns_p = "ns + " if is_loop else ""
 
         def ret(rip_expr, kind=0, aux="0", nexec=n) -> str:
             return (f"return {rip_expr}, fk, fa, fb, cycles, "
-                    f"{kind}, {aux}, ns + {nexec}{sk_s}")
+                    f"{kind}, {aux}, {ns_p}{nexec}{sk_s}")
 
         def emit_seq(lines, indent="") -> None:
             for ln in lines:
                 emit(indent + ln)
 
         def emit_exit(target, nexec=n, indent="") -> None:
-            """Terminator exit to a fixed address: try the chain cell,
-            fall back to the dispatch loop."""
+            """Exit to a fixed address through the dispatch loop."""
             flush_cyc()
-            name = chain_cell(target)
-            emit(indent + f"cf = {name}[0]")
-            emit(indent + f"if cf is not None and cd and "
-                 f"ns + {nexec}{sk_s} + {name}[1] <= hd:")
-            emit(indent + "    cs[1] += 1")
-            emit_seq(flush_regs, indent + "    ")
-            emit(indent + f"    return cf(regs, fk, fa, fb, "
-                 f"cycles, hd, ns + {nexec}{sk_s}, cd - 1)")
             emit_seq(flush_regs, indent)
             emit(indent + ret(lit(target), nexec=nexec))
-
-        def emit_side_exit(target, nexec) -> None:
-            """Taken edge of a mid-trace Jcc (tail duplication): a
-            conditional exit after ``nexec`` retires.  The main path
-            falls through, so pending cycles are *peeked* — emitted on
-            the exit path but kept accumulating at compile time."""
-            ind = "    "
-            if pending:
-                emit(ind + "cycles = cycles + " + " + ".join(pending))
-            name = chain_cell(target)
-            emit(ind + f"cf = {name}[0]")
-            emit(ind + f"if cf is not None and cd and "
-                 f"ns + {nexec}{sk_s} + {name}[1] <= hd:")
-            emit(ind + "    cs[1] += 1")
-            emit_seq(flush_regs, ind + "    ")
-            emit(ind + f"    return cf(regs, fk, fa, fb, "
-                 f"cycles, hd, ns + {nexec}{sk_s}, cd - 1)")
-            emit_seq(flush_regs, ind)
-            emit(ind + ret(lit(target), nexec=nexec))
-
-        def emit_indirect(expr, guarded, nexec=n) -> None:
-            """Indirect exit: monomorphic inline cache on the resolved
-            target, recording misses for the dispatch loop to fill
-            (unless the site went megamorphic and was poisoned)."""
-            flush_cyc()
-            name = ic_cell()
-            emit(f"t = {expr}")
-            emit(f"if t == {name}[0]:")
-            emit(f"    cf = {name}[1]")
-            emit(f"    if cf is not None and cd and "
-                 f"ns + {nexec}{sk_s} + {name}[2] <= hd:")
-            emit("        cs[0] += 1")
-            emit_seq(flush_regs, "        ")
-            emit(f"        return cf(regs, fk, fa, fb, cycles, "
-                 f"hd, ns + {nexec}{sk_s}, cd - 1)")
-            emit(f"elif {name}[0] != -2:")
-            emit(f"    cache.ic_miss = ({name}, t, {int(guarded)})")
-            if not guarded:
-                # Megamorphic fallback: a poisoned site (a RET shared
-                # by many call sites) probes the cache-maintained
-                # target table instead of bailing to dispatch on every
-                # execution.  Unguarded sites only — guarded ones must
-                # keep the trusted-target gate in fill_ic.
-                emit("else:")
-                emit("    e_ = fmap.get(t)")
-                emit(f"    if e_ is not None and cd and "
-                     f"ns + {nexec}{sk_s} + e_[1] <= hd:")
-                emit("        cs[0] += 1")
-                emit_seq(flush_regs, "        ")
-                emit(f"        return e_[0](regs, fk, fa, fb, cycles, "
-                     f"hd, ns + {nexec}{sk_s}, cd - 1)")
-            emit_seq(flush_regs)
-            emit(ret("t", nexec=nexec))
 
         def addr_of(mem) -> str:
             parts = []
@@ -1485,7 +1264,7 @@ class BlockCache:
                     emit_exit(target)
             elif op == Op.JMP_R:
                 cyc(cost)
-                emit_indirect(f"{L(ops[0])} & {MM}", guarded=True)
+                emit_seq(exit_seq(ret(f"{L(ops[0])} & {MM}")))
             elif op in _CMP_PRED:  # the ten Jcc opcodes
                 cyc(cost)
                 if known == 1:
@@ -1520,9 +1299,11 @@ class BlockCache:
                         pass
                     else:
                         # Tail duplication past the fall-through: the
-                        # taken edge is a side exit.
+                        # taken edge is a side exit.  The main path
+                        # falls through, so pending cycles are peeked.
                         emit(f"if {pred}:")
-                        emit_side_exit(target, k + 1)
+                        emit_seq(peek_exit(ret(lit(target), nexec=k + 1)),
+                                 "    ")
                     continue
                 flush_cyc()
                 emit(f"if {pred}:")
@@ -1563,7 +1344,7 @@ class BlockCache:
                 elif op == Op.CALL:
                     emit_exit((rip + length + ops[0]) & M)
                 else:
-                    emit_indirect(f"{L(ops[0])} & {MM}", guarded=True)
+                    emit_seq(exit_seq(ret(f"{L(ops[0])} & {MM}")))
             elif op == Op.RET:
                 cyc(cost)
                 # Mid-trace RET: trace formation predicted the return
@@ -1578,7 +1359,7 @@ class BlockCache:
                     emit(f"if v != {lit(items[k + 1][0])}:")
                     emit_seq(peek_exit(ret("v", nexec=k + 1)), "    ")
                 else:
-                    emit_indirect("v", guarded=False)
+                    emit_seq(exit_seq(ret("v")))
             elif op == Op.PUSH_R or op == Op.PUSH_I:
                 value = (f"{L(ops[0])} & {MM}" if op == Op.PUSH_R
                          else lit(ops[0] & M))
@@ -1590,7 +1371,6 @@ class BlockCache:
                 emit(f"{L(ops[0])} = v")
             elif op == Op.SVC:
                 cyc(cost)
-                emit(f"cache.svc_rip = {lit(rip)}")
                 emit_seq(exit_seq(ret(lit(next_rip), kind=1,
                                       aux=lit(ops[0]))))
             elif op == Op.NOP:
@@ -1642,24 +1422,24 @@ class BlockCache:
         baked = ["load_u64", "store_u64", "load_u8", "store_u8",
                  "smem", "perms", "upk_q", "pck_q", "epc_touch",
                  "rpg", "wpg", "mq",
-                 "cache", "fault", "dirty_add", "blk", "cs",
-                 "fmap"]
-        baked += list(cells)
+                 "cache", "fault", "dirty_add"]
         baked += list(pool_vals)
         sig_lines = []
         for i in range(0, len(baked), 4):
             chunk = ", ".join(f"{x}={x}" for x in baked[i:i + 4])
             sig_lines.append("         " + chunk + ",")
         sig_lines[-1] = sig_lines[-1][:-1] + "):"
-        lines = ["def _blk(regs, fk, fa, fb, cycles, hd, ns, cd,"]
+        lines = ["def _blk(regs, fk, fa, fb, cycles, hd,"]
         lines += sig_lines
         lines.append("    i_ = 0")
         if guards:
             lines.append("    sk = 0")
+        if is_loop:
+            lines.append("    ns = 0")
+        for reg in localized:
+            lines.append(f"    r{reg} = regs[{reg}]")
         lines.append("    try:")
         base = "        "
-        for reg in localized:
-            lines.append(base + f"r{reg} = regs[{reg}]")
         if is_loop:
             lines.append(base + "while 1:")
             base = "            "
@@ -1675,15 +1455,10 @@ class BlockCache:
             lines.append(f"        {kw} i_ == {site}:")
             lines.append(f"            cycles = cycles + {expr}")
             kw = "elif"
-        if localized:
-            lines.append(
-                f"        if fault(blk, i_, ns{sk_s}, cycles,"
-                f" fk, fa, fb):")
-            for reg in localized:
-                lines.append(f"            regs[{reg}] = r{reg}")
-        else:
-            lines.append(f"        fault(blk, i_, ns{sk_s}, cycles,"
-                         " fk, fa, fb)")
+        lines.append(f"        fault(i_, {'ns' if is_loop else '0'}{sk_s},"
+                     " cycles, fk, fa, fb)")
+        for reg in localized:
+            lines.append(f"        regs[{reg}] = r{reg}")
         lines.append("        raise")
         src = "\n".join(lines) + "\n"
         from ..errors import CpuFault, PolicyViolation
@@ -1703,13 +1478,9 @@ class BlockCache:
             "cache": self,
             "dirty_add": space._dirty.add,
             "fault": cpu._set_closure_fault,
-            "blk": block,
-            "cs": self.cstat,
-            "fmap": self.fmap,
             "CpuFault": CpuFault,
             "PolicyViolation": PolicyViolation,
         }
-        namespace.update(cells)
         namespace.update(pool_vals)
         code = _CODE_CACHE.get(src)
         if code is None:
@@ -1719,4 +1490,4 @@ class BlockCache:
         else:
             self.template_hits += 1
         exec(code, namespace)
-        return namespace["_blk"], edges
+        return namespace["_blk"]

@@ -169,3 +169,123 @@ def test_hw_aex_counter_accumulates():
     boot.run(aex_schedule=AexSchedule(2_000, jitter=0))
     boot.run(aex_schedule=AexSchedule(2_000, jitter=0))
     assert boot.enclave.hw_aex_count >= 10
+
+
+# -- provisioning is a transaction --------------------------------------------
+
+_GOOD = "int main() { __report(7); return 0; }"
+#: Stores to address 16, far outside ELRANGE: only a binary compiled
+#: without annotations does that, and the verifier rejects it.
+_BAD = """
+int main() {
+    int *p = 16;
+    *p = 1;
+    __report(13);
+    return 0;
+}
+"""
+
+
+def test_rejected_reprovision_fails_closed():
+    """An accepted binary, then a rejected one: no run ECall may
+    execute either of them until a binary is accepted again."""
+    from repro.errors import VerificationError
+    policies = PolicySet.p1_p2()
+    boot = BootstrapEnclave(policies=policies)
+    boot.receive_binary(compile_source(_GOOD, policies).serialize())
+    boot.receive_userdata(b"kept")
+    with pytest.raises(VerificationError):
+        boot.receive_binary(
+            compile_source(_BAD, PolicySet.none()).serialize())
+    for attempt in (lambda: boot.run(),
+                    lambda: boot.run(checkpoint_every=5),
+                    lambda: boot.run_threads([b""]),
+                    lambda: boot.resume([])):
+        with pytest.raises(EnclaveError, match="no verified binary"):
+            attempt()
+    assert not boot.ping()["provisioned"]
+    assert boot.enclave.space.untrusted_writes == []
+    assert [e.detail["status"] for e in
+            boot.audit.filter("run_completed")] == []
+    # Staged user data survives the binary change.
+    boot.receive_binary(compile_source(_GOOD, policies).serialize())
+    outcome = boot.run()
+    assert (outcome.status, outcome.reports) == ("ok", [7])
+    assert boot._input == b"kept"
+
+
+def test_reused_cpu_runs_the_current_binary():
+    """A CPU kept for warm re-runs must not survive a re-provision: the
+    loader's privileged writes fire no code-write hook, so its blocks
+    would still hold the previous binary."""
+    from repro.vm.costmodel import CostModel
+    policies = PolicySet.p1_only()
+    loop = "int main() {{ int i; int s = 0; for (i = 0; i < 200; i++) " \
+           "s = s + 1; __report({}); return 0; }}"
+    boot = BootstrapEnclave(policies=policies)
+    cm = CostModel()
+    for value in (50, 100):
+        boot.receive_binary(compile_source(loop.format(value), policies)
+                            .serialize())
+        assert boot.run(cost_model=cm, reuse_cpu=True).reports == [value]
+    boot.recover()
+    assert boot._cpu0 is None
+
+
+def test_reuse_without_cost_model_reuses_the_cpu(monkeypatch):
+    """``reuse_cpu`` keys on the caller's ``cost_model`` argument,
+    ``None`` included: the second run reuses the same CPU and compiles
+    nothing new."""
+    import repro.core.bootstrap as bootstrap_mod
+    from repro.bench.harness import restore_run_state, snapshot_run_state
+    from repro.vm.translate import BlockCache
+    built = []
+
+    class CountingCPU(bootstrap_mod.CPU):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built.append(self)
+
+    compiled = []
+    real_compile = BlockCache.compile_block
+
+    def counting_compile(cache, block, *args):
+        compiled.append(block.start)
+        return real_compile(cache, block, *args)
+
+    monkeypatch.setattr(bootstrap_mod, "CPU", CountingCPU)
+    monkeypatch.setattr(BlockCache, "compile_block", counting_compile)
+    boot = _boot("int main() { int i; int s = 0; "
+                 "for (i = 0; i < 500; i++) s = s + i; "
+                 "__report(s); return 0; }")
+    snap = snapshot_run_state(boot)
+    first = boot.run(reuse_cpu=True, jit_eager=True)
+    assert compiled
+    del compiled[:]
+    restore_run_state(boot, snap)
+    second = boot.run(reuse_cpu=True)
+    assert len(built) == 1 and compiled == []
+    assert (second.status, second.reports, second.result.steps) == \
+        (first.status, first.reports, first.result.steps)
+
+
+def test_plain_run_after_checkpointed_run_tracks_nothing():
+    from repro.bench.checkpointing import outcome_fingerprint
+    src = """
+    int buf[600];
+    int main() {
+        int i; int s = 0;
+        for (i = 0; i < 600; i++) buf[i] = i;
+        for (i = 0; i < 600; i++) s = s + buf[i];
+        __report(s);
+        return 0;
+    }
+    """
+    want = outcome_fingerprint(_boot(src).run())
+    boot = _boot(src)
+    space = boot.enclave.space
+    assert boot.run(checkpoint_every=500).checkpoints_taken > 0
+    outcome = boot.run()
+    assert space.dirty_tracking is False
+    assert space.drain_dirty() == (frozenset(), frozenset())
+    assert outcome_fingerprint(outcome) == want

@@ -1,12 +1,12 @@
-"""JIT: superblock chaining, indirect-branch inline caches,
-page-indexed invalidation and the LRU-bounded block cache.
+"""JIT: traces, block exits through the dispatch loop, page-indexed
+invalidation and the LRU-bounded block cache.
 
 Everything here is differential at heart: whatever the translator
-does — link chains, fill and poison inline caches, sever edges on
-self-modifying code, evict under a tiny cache bound — the retired
-(steps, cycles, rip, result) account must match the single-step oracle
-bit for bit, whether blocks compile lazily at the warm-up threshold or
-eagerly on first dispatch.
+does — promote stubs to traces, exit to fixed and indirect targets,
+drop blocks on self-modifying code, evict under a tiny cache bound —
+the retired (steps, cycles, rip, result) account must match the
+single-step oracle bit for bit, whether blocks compile lazily at the
+warm-up threshold or eagerly on first dispatch.
 """
 
 import pytest
@@ -71,7 +71,7 @@ def _run(items, executor, regs=None, aex=None, eager=False, **kwargs):
 
 def _nested_loops(outer=30, inner=20):
     """Two nested counted loops plus a diamond — enough control flow
-    for chains to form, sever and re-link."""
+    for traces, side exits and native loops to form."""
     return [
         Instruction(Op.MOV_RI, RAX, 0),
         Instruction(Op.MOV_RI, RCX, outer),
@@ -98,9 +98,9 @@ def _nested_loops(outer=30, inner=20):
 
 def _call_loop(n=60, leaf_addr=0):
     """A loop that CALLs a tiny leaf both directly and through a
-    register — exercises the RET inline cache and a guarded CALL_R
-    site.  ``leaf_addr`` is patched in via a two-pass assembly
-    (MOV_RI is fixed-width, so label offsets are already final)."""
+    register — exercises indirect exits (RET and CALL_R).
+    ``leaf_addr`` is patched in via a two-pass assembly (MOV_RI is
+    fixed-width, so label offsets are already final)."""
     return [
         Instruction(Op.MOV_RI, RAX, 0),
         Instruction(Op.MOV_RI, RCX, n),
@@ -161,13 +161,13 @@ def test_three_engines_agree_under_aex_storm():
     assert len(accounts) == 1
 
 
-# -- flags crossing a chain edge ----------------------------------------------
+# -- flags crossing a block edge ----------------------------------------------
 
 def _flag_edge_jmp(n=60):
     """The loop block ends ``CMP; JMP`` into ``check``, a leader that
     starts with a Jcc.  The entry reaches ``check`` first through a
     taken branch, so ``check`` compiles as its own leader and the loop
-    trace stops at it: the flags cross a chain edge."""
+    trace stops at it: the flags cross a block edge."""
     return [
         Instruction(Op.MOV_RI, RAX, 0),
         Instruction(Op.MOV_RI, RCX, n),
@@ -227,10 +227,6 @@ def test_flags_cross_a_chain_edge(shape, mode):
     assert _flag_state(result, cpu) == oracle
     if mode == "aex":
         assert cpu.aex_events > 0
-    stats = cpu.jit_stats()
-    assert stats["chain_hops"] > 0
-    if shape == "ret":
-        assert stats["ic_hits"] > 0
     # The flag setter's trace stops at the edge into ``check``, which
     # compiled as its own leader.
     code = _machine().layout.regions["code"].start
@@ -242,57 +238,42 @@ def test_flags_cross_a_chain_edge(shape, mode):
     assert check.start not in loop.rips
 
 
-# -- chaining and inline caches ----------------------------------------------
-
-def test_hot_loop_forms_chains(monkeypatch):
-    monkeypatch.setattr("repro.vm.cpu.COLD_RUNS", 0)
-    _, cpu = _run(_nested_loops(outer=60, inner=30), "translate")
-    stats = cpu.jit_stats()
-    assert stats["chain_links"] > 0
-    assert stats["chain_hops"] > 0
-    # chains keep most control transfers out of the dispatch loop
-    assert stats["chain_hops"] > stats["dispatch_calls"]
-
-
-def test_chain_depth_bounds_hops_per_dispatch(monkeypatch):
-    monkeypatch.setattr("repro.vm.cpu.COLD_RUNS", 0)
-    monkeypatch.setattr("repro.vm.cpu.CHAIN_DEPTH", 1)
-    result, cpu = _run(_nested_loops(), "translate")
-    baseline, _ = _run(_nested_loops(), "step")
-    assert _accounts(result) == _accounts(baseline)
-    stats = cpu.jit_stats()
-    # depth 1: at most one hop per dispatch, never more
-    assert stats["chain_hops"] <= stats["dispatch_calls"]
-
-
-def test_indirect_branch_ic_hits_with_trusted_targets(monkeypatch):
-    monkeypatch.setattr("repro.vm.cpu.COLD_RUNS", 0)
-    items, leaf = _call_items(n=80)
-    enclave, asm = _load(items)
-    cpu = _cpu(enclave, "translate",
-               branch_targets=frozenset({leaf}))
-    result = cpu.run()
-    stats = cpu.jit_stats()
-    assert stats["ic_fills"] > 0
-    assert stats["ic_hits"] > 0
-    step, _ = _run(items, "step")
-    assert _accounts(result) == _accounts(step)
-
+# -- indirect exits ----------------------------------------------------------
 
 def test_untrusted_call_r_target_never_fills_guarded_ic(monkeypatch):
+    """No indirect target is ever cached: every indirect exit (CALL_R,
+    and a RET no trace predicted) returns its target to the dispatch
+    loop — at least two dispatches per iteration — and the account
+    still matches the oracle."""
     monkeypatch.setattr("repro.vm.cpu.COLD_RUNS", 0)
-    items, leaf = _call_items(n=80)
-    enclave, asm = _load(items)
-    # empty trusted set: the CALL_R site may never cache its target;
-    # the RET sites still may (unguarded), so only compare the CALL_R
-    # behaviour via the fill counter staying below the trusted run's
-    cpu = _cpu(enclave, "translate", branch_targets=frozenset())
+    items, _ = _call_items(n=80)
+    enclave, _ = _load(items)
+    cpu = _cpu(enclave, "translate")
     result = cpu.run()
+    assert cpu.jit_stats()["dispatch_calls"] >= 2 * 80
     step, _ = _run(items, "step")
     assert _accounts(result) == _accounts(step)
 
 
-# -- invalidation: page index, chain severing, forced flush -------------------
+def test_unhandled_svc_in_a_compiled_block_faults_at_the_svc():
+    """An SVC always ends its block, so a compiled block's SVC escape
+    reports the block's last rip — the same fault state as the
+    oracle."""
+    items = [Instruction(Op.MOV_RI, RAX, 1), Instruction(Op.SVC, 1)]
+    states = []
+    for executor, eager in (("step", False), ("translate", True)):
+        enclave, _ = _load(items)
+        cpu = _cpu(enclave, executor)
+        cpu.jit_eager = eager
+        with pytest.raises(CpuFault, match="no handler"):
+            cpu.run()
+        if executor == "translate":
+            assert cpu._blocks.compiles == 1
+        states.append(_state(cpu))
+    assert states[0] == states[1]
+
+
+# -- invalidation: page index, forced flush -----------------------------------
 
 def test_invalidate_code_range_severs_chains(monkeypatch):
     monkeypatch.setattr("repro.vm.cpu.COLD_RUNS", 0)
@@ -302,13 +283,12 @@ def test_invalidate_code_range_severs_chains(monkeypatch):
     cpu = _cpu(enclave, "translate")
     cpu.run()
     cache = cpu._blocks
-    assert cache.links > 0
     n_blocks = len(cache.blocks)
+    assert n_blocks > 0
     enclave.space.invalidate_code_range(code, len(asm.code))
-    stats = cache.stats()
     assert len(cache.blocks) == 0
-    assert stats["invalidated_blocks"] >= n_blocks
-    assert stats["severed_edges"] > 0
+    assert cache.stats()["invalidated_blocks"] >= n_blocks
+    assert cache.by_page == {}
 
 
 def test_flush_mid_run_is_architecturally_invisible(monkeypatch):
@@ -507,17 +487,17 @@ def test_sliced_traces_fit_the_slice(slice_steps):
 
 def test_trace_chains_into_a_compiled_leader():
     """The leaf is entered twice per iteration, so it turns hot first;
-    traces promoted after it chain into it instead of inlining a copy."""
+    traces promoted after it exit into it through the dispatch loop
+    instead of inlining a copy."""
     items, leaf = _call_items()
     enclave, _ = _load(items)
-    cpu = _cpu(enclave, "translate", branch_targets=frozenset({leaf}))
+    cpu = _cpu(enclave, "translate")
     result = cpu.run()
     cache = cpu._blocks
     assert cache.blocks[leaf].fn is not None
     others = [b for b in cache.blocks.values()
               if b.fn is not None and b.start != leaf]
     assert others and all(leaf not in b.rips for b in others)
-    assert cache.stats()["chain_links"] > 0
     step, _ = _run(items, "step")
     assert _accounts(result) == _accounts(step)
 
@@ -565,15 +545,11 @@ def test_promoted_trace_watches_its_extended_pages(monkeypatch):
             assert poke >> 12 in block.pages
             assert any(block in bucket
                        for bucket in cache.by_page.values())
-            cells = [entry[0] for entry in block.in_cells]
-            assert cells
         enclave.space.store_u8(poke, 0x00)
         if executor == "translate":
             assert cache.blocks.get(leader) is not block
             assert not any(block in bucket
                            for bucket in cache.by_page.values())
-            assert block.in_cells == []
-            assert all(cell[0] in (None, -1) for cell in cells)
         while not cpu.halted:
             cpu.run(slice_steps=30)
         states.append(_state(cpu) + (cpu.regs[RAX],))
